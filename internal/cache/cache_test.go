@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -292,6 +293,24 @@ func TestHierarchyCDPAndCAT(t *testing.T) {
 	}
 }
 
+// TestCheckMatchesApply: CheckCDP and CheckCAT let a machine validate
+// its partitions before any hierarchy exists, so they must return
+// exactly what ApplyCDP and ApplyCAT return.
+func TestCheckMatchesApply(t *testing.T) {
+	sku := platform.Skylake18()
+	h := NewHierarchy(sku, 1)
+	for d := -1; d <= sku.LLCWays+1; d++ {
+		for c := -1; c <= sku.LLCWays+1; c++ {
+			if got, want := fmt.Sprint(CheckCDP(sku, d, c)), fmt.Sprint(h.ApplyCDP(d, c)); got != want {
+				t.Errorf("CDP %d/%d: CheckCDP %s, ApplyCDP %s", d, c, got, want)
+			}
+		}
+		if got, want := fmt.Sprint(CheckCAT(sku, d)), fmt.Sprint(h.ApplyCAT(d)); got != want {
+			t.Errorf("CAT %d: CheckCAT %s, ApplyCAT %s", d, got, want)
+		}
+	}
+}
+
 func TestHierarchyPrefetchL1PullsThrough(t *testing.T) {
 	h := NewHierarchy(platform.Skylake18(), 1)
 	moved, fromMem := h.PrefetchL1(0, 0x9000, Data)
@@ -344,4 +363,283 @@ func BenchmarkHierarchyAccess(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		h.Access(i%18, uint64(z.Next())*64, Data)
 	}
+}
+
+// refCache is the cache model as it stood before the line arrays were
+// split into keys, stamps and prefetch flags: one array of line
+// structs, with the probe repeated inside Prefetch and InstallWarm. It
+// is kept as the oracle FuzzCacheMatchesReference checks Cache
+// against, step by step.
+type refCache struct {
+	cfg      Config
+	sets     int
+	ways     int
+	blockLg2 uint
+	lines    []refLine // sets × ways, row-major
+	clock    uint32
+	wayLo    [numKinds]int
+	wayHi    [numKinds]int
+	stats    Stats
+}
+
+type refLine struct {
+	tag      uint64
+	stamp    uint32
+	valid    bool
+	prefetch bool
+}
+
+func newRef(cfg Config) *refCache {
+	sets := cfg.SizeBytes / (cfg.BlockBytes * cfg.Ways)
+	if sets < 1 {
+		sets = 1
+	}
+	lg2 := uint(0)
+	for 1<<(lg2+1) <= cfg.BlockBytes {
+		lg2++
+	}
+	c := &refCache{cfg: cfg, sets: sets, ways: cfg.Ways, blockLg2: lg2,
+		lines: make([]refLine, sets*cfg.Ways)}
+	c.ClearPartition()
+	return c
+}
+
+func (c *refCache) SetPartition(dataWays, codeWays int) error {
+	if dataWays < 1 || codeWays < 1 || dataWays+codeWays > c.ways {
+		return fmt.Errorf("cache %s: invalid partition data=%d code=%d of %d ways",
+			c.cfg.Name, dataWays, codeWays, c.ways)
+	}
+	c.wayLo[Data], c.wayHi[Data] = 0, dataWays
+	c.wayLo[Code], c.wayHi[Code] = dataWays, dataWays+codeWays
+	return nil
+}
+
+func (c *refCache) SetWayLimit(n int) error {
+	if n < 1 || n > c.ways {
+		return fmt.Errorf("cache %s: way limit %d outside [1,%d]", c.cfg.Name, n, c.ways)
+	}
+	for k := Kind(0); k < numKinds; k++ {
+		c.wayLo[k], c.wayHi[k] = 0, n
+	}
+	return nil
+}
+
+func (c *refCache) ClearPartition() {
+	for k := Kind(0); k < numKinds; k++ {
+		c.wayLo[k], c.wayHi[k] = 0, c.ways
+	}
+}
+
+func (c *refCache) set(addr uint64) int {
+	return int((addr >> c.blockLg2) % uint64(c.sets))
+}
+
+func (c *refCache) tag(addr uint64) uint64 { return addr >> c.blockLg2 }
+
+func (c *refCache) Access(addr uint64, kind Kind) bool {
+	c.stats.Accesses[kind]++
+	c.clock++
+	set := c.set(addr)
+	tag := c.tag(addr)
+	base := set * c.ways
+	row := c.lines[base : base+c.ways]
+	for i := range row {
+		if row[i].valid && row[i].tag == tag {
+			if !c.cfg.BIP {
+				row[i].stamp = c.clock
+			}
+			if row[i].prefetch {
+				row[i].prefetch = false
+				row[i].stamp = c.clock
+				c.stats.PrefetchHits++
+			}
+			return true
+		}
+	}
+	c.stats.Misses[kind]++
+	c.install(row, tag, kind, false, false)
+	return false
+}
+
+func (c *refCache) Probe(addr uint64) bool {
+	set := c.set(addr)
+	tag := c.tag(addr)
+	base := set * c.ways
+	for i := 0; i < c.ways; i++ {
+		if c.lines[base+i].valid && c.lines[base+i].tag == tag {
+			return true
+		}
+	}
+	return false
+}
+
+func (c *refCache) Prefetch(addr uint64, kind Kind) bool {
+	if c.Probe(addr) {
+		return false
+	}
+	c.clock++
+	set := c.set(addr)
+	base := set * c.ways
+	c.install(c.lines[base:base+c.ways], c.tag(addr), kind, true, false)
+	c.stats.PrefetchFills++
+	return true
+}
+
+func (c *refCache) InstallWarm(addr uint64, kind Kind) {
+	if c.Probe(addr) {
+		return
+	}
+	c.clock++
+	set := c.set(addr)
+	base := set * c.ways
+	c.install(c.lines[base:base+c.ways], c.tag(addr), kind, false, true)
+}
+
+func (c *refCache) install(row []refLine, tag uint64, kind Kind, viaPrefetch, forceMRU bool) {
+	lo, hi := c.wayLo[kind], c.wayHi[kind]
+	victim := lo
+	for i := lo; i < hi; i++ {
+		if !row[i].valid {
+			victim = i
+			break
+		}
+		if row[i].stamp < row[victim].stamp {
+			victim = i
+		}
+	}
+	stamp := c.clock
+	if c.cfg.BIP && viaPrefetch && !forceMRU && c.clock%32 != 0 {
+		stamp = 1
+	}
+	row[victim] = refLine{tag: tag, stamp: stamp, valid: true, prefetch: viaPrefetch}
+}
+
+func (c *refCache) ScrambleAges(rnd func(n int) int) {
+	span := uint32(len(c.lines)) * 4
+	if span < 1024 {
+		span = 1024
+	}
+	for i := range c.lines {
+		if c.lines[i].valid {
+			c.lines[i].stamp = uint32(rnd(int(span))) + 1
+		}
+	}
+	c.clock += span + 1
+}
+
+func (c *refCache) Flush() {
+	for i := range c.lines {
+		c.lines[i] = refLine{}
+	}
+}
+
+// refGeometries are the caches the differential test drives: power-of-
+// two and odd set counts, BIP and true-LRU insertion, and the
+// Skylake18 LLC's 36864 sets.
+func refGeometries() []Config {
+	sku := platform.Skylake18()
+	return []Config{
+		{Name: "tiny", SizeBytes: 512, Ways: 2, BlockBytes: 64},
+		{Name: "odd", SizeBytes: 6 * 4 * 64, Ways: 4, BlockBytes: 64, BIP: true},
+		{Name: "L1D", SizeBytes: sku.L1D, Ways: 8, BlockBytes: sku.CacheBlock},
+		{Name: "odd-lru", SizeBytes: 3 * 11 * 64, Ways: 11, BlockBytes: 64},
+		{Name: "LLC", SizeBytes: sku.LLC, Ways: sku.LLCWays, BlockBytes: sku.CacheBlock, BIP: true},
+	}
+}
+
+// applyPartition applies selector p to both caches: none, a CAT way
+// limit, or a CDP split, returning both errors.
+func applyPartition(c *Cache, r *refCache, p uint8) (error, error) {
+	ways := c.Ways()
+	switch n := int(p>>2) % ways; p % 3 {
+	case 1:
+		return c.SetWayLimit(n + 1), r.SetWayLimit(n + 1)
+	case 2:
+		// Invalid splits (n == 0, or more than ways) exercise the error path.
+		return c.SetPartition(n, ways-n), r.SetPartition(n, ways-n)
+	default:
+		c.ClearPartition()
+		r.ClearPartition()
+		return nil, nil
+	}
+}
+
+// FuzzCacheMatchesReference drives Cache and refCache through the same
+// operation sequence and requires identical return values and Stats at
+// every step, and identical lines, stamps and clock at the end. Each
+// operation is three bytes: an opcode, then a set and a tag selector
+// that keep addresses on a few sets so every geometry evicts.
+func FuzzCacheMatchesReference(f *testing.F) {
+	src := rng.New(42)
+	for g := range refGeometries() {
+		for _, part := range []uint8{0, 1 + 4*3, 2 + 4*5, 2} {
+			ops := make([]byte, 3*4000)
+			for i := range ops {
+				ops[i] = byte(src.Intn(256))
+			}
+			f.Add(uint8(g), part, ops)
+		}
+	}
+	f.Fuzz(func(t *testing.T, geom, part uint8, ops []byte) {
+		geoms := refGeometries()
+		cfg := geoms[int(geom)%len(geoms)]
+		c, r := New(cfg), newRef(cfg)
+		if e1, e2 := applyPartition(c, r, part); fmt.Sprint(e1) != fmt.Sprint(e2) {
+			t.Fatalf("partition %d: error %v, reference %v", part, e1, e2)
+		}
+		crnd, rrnd := rng.New(7), rng.New(7)
+		for i := 0; i+2 < len(ops); i += 3 {
+			op, a, b := ops[i], ops[i+1], ops[i+2]
+			set := uint64(a % 4)
+			if set == 3 {
+				set = uint64(c.Sets() - 1)
+			}
+			tag := set + uint64(int(b)%(3*c.Ways()))*uint64(c.Sets())
+			addr := tag<<6 | uint64(a>>2)
+			kind := Kind(op >> 7)
+			var got, want any
+			switch op & 31 {
+			case 31:
+				c.Flush()
+				r.Flush()
+			case 30:
+				c.ScrambleAges(crnd.Intn)
+				r.ScrambleAges(rrnd.Intn)
+			case 29:
+				got, want = applyPartition(c, r, b)
+				got, want = fmt.Sprint(got), fmt.Sprint(want)
+			default:
+				switch op & 3 {
+				case 0:
+					got, want = c.Access(addr, kind), r.Access(addr, kind)
+				case 1:
+					got, want = c.Prefetch(addr, kind), r.Prefetch(addr, kind)
+				case 2:
+					got, want = c.Probe(addr), r.Probe(addr)
+				case 3:
+					c.InstallWarm(addr, kind)
+					r.InstallWarm(addr, kind)
+				}
+			}
+			if got != want {
+				t.Fatalf("%s op %d (%#x at %#x): got %v, reference %v", cfg.Name, i/3, op, addr, got, want)
+			}
+			if c.Stats() != r.stats {
+				t.Fatalf("%s op %d: stats %+v, reference %+v", cfg.Name, i/3, c.Stats(), r.stats)
+			}
+		}
+		if c.clock != r.clock {
+			t.Fatalf("%s: clock %d, reference %d", cfg.Name, c.clock, r.clock)
+		}
+		for i, l := range r.lines {
+			key := uint64(0)
+			if l.valid {
+				key = l.tag + 1
+			}
+			if c.keys[i] != key || c.stamps[i] != l.stamp || c.pf[i] != l.prefetch {
+				t.Fatalf("%s line %d: key=%d stamp=%d pf=%v, reference %+v",
+					cfg.Name, i, c.keys[i], c.stamps[i], c.pf[i], l)
+			}
+		}
+	})
 }

@@ -32,6 +32,9 @@ func (l Level) String() string {
 	}
 }
 
+// llcName names the shared last-level cache in errors.
+const llcName = "LLC"
+
 // Hierarchy is the per-socket cache hierarchy of one server: private
 // L1I/L1D and L2 per core, one shared LLC. It is the unit the
 // simulator drives and the CDP/CAT knobs reconfigure.
@@ -74,7 +77,7 @@ func NewHierarchySized(sku *platform.SKU, cores int, llcBytes int) *Hierarchy {
 		h.L1D[i] = New(Config{Name: fmt.Sprintf("L1D.%d", i), SizeBytes: sku.L1D, Ways: 8, BlockBytes: sku.CacheBlock})
 		h.L2s[i] = New(Config{Name: fmt.Sprintf("L2.%d", i), SizeBytes: sku.L2, Ways: 16, BlockBytes: sku.CacheBlock})
 	}
-	h.LLCs = New(Config{Name: "LLC", SizeBytes: llcBytes, Ways: sku.LLCWays, BlockBytes: sku.CacheBlock, BIP: true})
+	h.LLCs = New(Config{Name: llcName, SizeBytes: llcBytes, Ways: sku.LLCWays, BlockBytes: sku.CacheBlock, BIP: true})
 	return h
 }
 
@@ -117,15 +120,12 @@ func (h *Hierarchy) PrefetchL1(core int, addr uint64, kind Kind) (moved, fromMem
 	if kind == Code {
 		l1 = h.L1I[core]
 	}
-	inL2 := h.L2s[core].Probe(addr)
-	inLLC := h.LLCs.Probe(addr)
 	moved = l1.Prefetch(addr, kind)
-	if moved && !inL2 {
-		h.L2s[core].Prefetch(addr, kind)
-		if !inLLC {
-			h.LLCs.Prefetch(addr, kind)
-			fromMemory = true
-		}
+	// Each lower level fills only if the level above it missed, and a
+	// fill reports whether the line was absent: the probe and the fill
+	// are one set scan.
+	if moved && h.L2s[core].Prefetch(addr, kind) {
+		fromMemory = h.LLCs.Prefetch(addr, kind)
 	}
 	return moved, fromMemory
 }
@@ -142,6 +142,21 @@ func (h *Hierarchy) ApplyCDP(dataWays, codeWays int) error {
 
 // ApplyCAT limits the LLC to its first n ways (Fig 10 sweep).
 func (h *Hierarchy) ApplyCAT(n int) error { return h.LLCs.SetWayLimit(n) }
+
+// CheckCDP returns the error ApplyCDP would return for this split on a
+// hierarchy of sku, without building one.
+func CheckCDP(sku *platform.SKU, dataWays, codeWays int) error {
+	if dataWays == 0 && codeWays == 0 {
+		return nil
+	}
+	return checkPartition(llcName, sku.LLCWays, dataWays, codeWays)
+}
+
+// CheckCAT returns the error ApplyCAT would return for n on a
+// hierarchy of sku, without building one.
+func CheckCAT(sku *platform.SKU, n int) error {
+	return checkWayLimit(llcName, sku.LLCWays, n)
+}
 
 // Flush invalidates every cache, as across a reboot.
 func (h *Hierarchy) Flush() {

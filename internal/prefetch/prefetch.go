@@ -30,8 +30,9 @@ const (
 	pageBytes       = 4096
 )
 
+// streamEntry is one tracked page stream; its page lives at the same
+// index of Engine.streamPages.
 type streamEntry struct {
-	page     uint64
 	lastLine uint64 // line index within page
 	dir      int    // +1 ascending, -1 descending, 0 unknown
 	score    int    // confirmations; >= 1 triggers prefetch
@@ -54,8 +55,11 @@ type Engine struct {
 	core  int
 	clock uint64
 
-	streams [streamTableSize]streamEntry
-	ips     [ipTableSize]ipEntry
+	// streamPages holds each stream entry's page+1 (0 = empty) apart
+	// from the entries, so the per-access lookup scans 128 bytes.
+	streamPages [streamTableSize]uint64
+	streams     [streamTableSize]streamEntry
+	ips         [ipTableSize]ipEntry
 
 	stats Stats
 }
@@ -111,20 +115,23 @@ func (e *Engine) OnAccess(addr uint64, kind cache.Kind, ip uint64, level cache.L
 func (e *Engine) stream(addr uint64, kind cache.Kind) {
 	page := addr / pageBytes
 	line := (addr % pageBytes) / lineBytes
-	// Find or allocate the page's stream entry (LRU).
+	// Find the page's stream entry, or replace the LRU one.
 	idx := -1
-	victim := 0
-	for i := range e.streams {
-		if e.streams[i].page == page+1 { // +1 bias: zero means empty
+	for i := range e.streamPages {
+		if e.streamPages[i] == page+1 { // +1 bias: zero means empty
 			idx = i
 			break
 		}
-		if e.streams[i].stamp < e.streams[victim].stamp {
-			victim = i
-		}
 	}
 	if idx < 0 {
-		e.streams[victim] = streamEntry{page: page + 1, lastLine: line, stamp: e.clock}
+		victim := 0
+		for i := 1; i < streamTableSize; i++ {
+			if e.streams[i].stamp < e.streams[victim].stamp {
+				victim = i
+			}
+		}
+		e.streamPages[victim] = page + 1
+		e.streams[victim] = streamEntry{lastLine: line, stamp: e.clock}
 		return
 	}
 	s := &e.streams[idx]

@@ -204,3 +204,202 @@ func BenchmarkEngineSequential(b *testing.B) {
 		e.OnAccess(addr, cache.Data, 7, h.Access(0, addr, cache.Data))
 	}
 }
+
+// refEngine is the prefetch Engine as it stood before the stream
+// table's pages moved into their own array: one loop over the entries
+// that matches the page and tracks the LRU victim at once. It is the
+// oracle FuzzEngineMatchesReference checks Engine against.
+type refEngine struct {
+	mask    knob.PrefetchMask
+	h       *cache.Hierarchy
+	clock   uint64
+	streams [streamTableSize]refStream
+	ips     [ipTableSize]ipEntry
+	stats   Stats
+}
+
+type refStream struct {
+	page     uint64
+	lastLine uint64
+	dir      int
+	score    int
+	stamp    uint64
+}
+
+func (e *refEngine) OnAccess(addr uint64, kind cache.Kind, ip uint64, level cache.Level) {
+	if e.mask == knob.PrefetchNone {
+		return
+	}
+	e.clock++
+	if e.mask.Has(knob.PrefetchL2Adj) && level >= cache.LLC {
+		buddy := addr ^ lineBytes
+		e.issueL2(buddy&^uint64(lineBytes-1), kind)
+	}
+	if e.mask.Has(knob.PrefetchL2HW) {
+		e.stream(addr, kind)
+	}
+	if kind == cache.Data {
+		if e.mask.Has(knob.PrefetchDCU) && level >= cache.L2 {
+			e.issueL1(addr+lineBytes, kind)
+		}
+		if e.mask.Has(knob.PrefetchDCUIP) {
+			e.ipStride(addr, ip, kind)
+		}
+	}
+}
+
+func (e *refEngine) stream(addr uint64, kind cache.Kind) {
+	page := addr / pageBytes
+	line := (addr % pageBytes) / lineBytes
+	idx := -1
+	victim := 0
+	for i := range e.streams {
+		if e.streams[i].page == page+1 {
+			idx = i
+			break
+		}
+		if e.streams[i].stamp < e.streams[victim].stamp {
+			victim = i
+		}
+	}
+	if idx < 0 {
+		e.streams[victim] = refStream{page: page + 1, lastLine: line, stamp: e.clock}
+		return
+	}
+	s := &e.streams[idx]
+	s.stamp = e.clock
+	dir := 0
+	switch {
+	case line == s.lastLine+1:
+		dir = 1
+	case line+1 == s.lastLine:
+		dir = -1
+	}
+	if dir == 0 || (s.dir != 0 && dir != s.dir) {
+		s.dir, s.score, s.lastLine = dir, 0, line
+		return
+	}
+	s.dir = dir
+	s.score++
+	s.lastLine = line
+	if s.score >= 1 {
+		for d := 1; d <= streamDepth; d++ {
+			next := int64(line) + int64(dir)*int64(d)
+			if next < 0 || next >= pageBytes/lineBytes {
+				break
+			}
+			e.issueL2(page*pageBytes+uint64(next)*lineBytes, kind)
+		}
+	}
+}
+
+func (e *refEngine) ipStride(addr, ip uint64, kind cache.Kind) {
+	ent := &e.ips[ip%ipTableSize]
+	if ent.ip != ip {
+		*ent = ipEntry{ip: ip, lastAddr: addr}
+		return
+	}
+	stride := int64(addr) - int64(ent.lastAddr)
+	ent.lastAddr = addr
+	if stride == 0 {
+		return
+	}
+	if stride == ent.stride {
+		ent.score++
+	} else {
+		ent.stride = stride
+		ent.score = 0
+	}
+	if ent.score >= 2 {
+		target := int64(addr) + stride
+		if target > 0 {
+			e.issueL1(uint64(target), kind)
+		}
+	}
+}
+
+func (e *refEngine) issueL2(addr uint64, kind cache.Kind) {
+	e.stats.Issued++
+	moved, fromMem := e.h.PrefetchL2(0, addr, kind)
+	if moved {
+		e.stats.Moved++
+	}
+	if fromMem {
+		e.stats.FromMemory++
+	}
+}
+
+func (e *refEngine) issueL1(addr uint64, kind cache.Kind) {
+	e.stats.Issued++
+	moved, fromMem := e.h.PrefetchL1(0, addr, kind)
+	if moved {
+		e.stats.Moved++
+	}
+	if fromMem {
+		e.stats.FromMemory++
+	}
+}
+
+// FuzzEngineMatchesReference drives Engine and refEngine, each over
+// its own small hierarchy, with the same demand accesses and requires
+// identical prefetch and cache statistics after every access and an
+// identical stream table at the end. Each access is three bytes: a
+// page selector (40 pages, so the 16-entry table churns), a line and
+// kind selector, and an instruction pointer.
+func FuzzEngineMatchesReference(f *testing.F) {
+	src := rng.New(9)
+	for _, mask := range []uint8{uint8(knob.PrefetchAll), uint8(knob.PrefetchL2HW), 0} {
+		for run := 0; run < 2; run++ {
+			ops := make([]byte, 3*6000)
+			line := 0
+			for i := 0; i < len(ops); i += 3 {
+				// Mostly short ascending or descending runs, so streams confirm.
+				if src.Bool(0.2) {
+					line = src.Intn(64)
+				} else if run == 0 {
+					line = (line + 1) % 64
+				} else {
+					line = (line + 63) % 64
+				}
+				ops[i] = byte(src.Intn(40))
+				ops[i+1] = byte(line) | byte(src.Intn(4))<<6
+				ops[i+2] = byte(src.Intn(256))
+			}
+			f.Add(mask, ops)
+		}
+	}
+	f.Fuzz(func(t *testing.T, mask uint8, ops []byte) {
+		newH := func() *cache.Hierarchy {
+			return cache.NewHierarchySized(platform.Skylake18(), 1, 64<<10)
+		}
+		m := knob.PrefetchMask(mask) & knob.PrefetchAll
+		h, rh := newH(), newH()
+		e := NewEngine(h, 0, m)
+		r := &refEngine{mask: m, h: rh}
+		for i := 0; i+2 < len(ops); i += 3 {
+			kind := cache.Data
+			if ops[i+1]>>6 == 3 {
+				kind = cache.Code
+			}
+			addr := uint64(ops[i]%40)<<24 | uint64(ops[i]>>6)<<12 | uint64(ops[i+1]&63)<<6
+			ip := uint64(ops[i+2] % 16)
+			lvl, rlvl := h.Access(0, addr, kind), rh.Access(0, addr, kind)
+			if lvl != rlvl {
+				t.Fatalf("access %d at %#x: level %v, reference %v", i/3, addr, lvl, rlvl)
+			}
+			e.OnAccess(addr, kind, ip, lvl)
+			r.OnAccess(addr, kind, ip, rlvl)
+			if e.Stats() != r.stats || h.Stats() != rh.Stats() {
+				t.Fatalf("access %d at %#x: stats %+v/%+v, reference %+v/%+v",
+					i/3, addr, e.Stats(), h.Stats(), r.stats, rh.Stats())
+			}
+		}
+		for i, s := range r.streams {
+			got := e.streams[i]
+			if e.streamPages[i] != s.page || got.lastLine != s.lastLine || got.dir != s.dir ||
+				got.score != s.score || got.stamp != s.stamp {
+				t.Fatalf("stream %d: page %d %+v, reference %+v", i, e.streamPages[i], got, s)
+			}
+		}
+	})
+}

@@ -181,11 +181,10 @@ func sharedIPC(sku *platform.SKU, profA, profB *workload.Profile, threadsEach in
 
 	const instrPerThread = 300_000
 	runPhase := func(count bool) {
-		const chunk = 2000
-		buf := make([]workload.Access, 0, chunk*2)
-		for done := 0; done < instrPerThread; done += chunk {
+		buf := make([]workload.Access, 0, windowChunk*2)
+		for done := 0; done < instrPerThread; done += windowChunk {
 			for core, th := range threads {
-				buf = th.stream.Generate(buf[:0], chunk)
+				buf = th.stream.Generate(buf[:0], windowChunk)
 				for idx := range buf {
 					a := &buf[idx]
 					lvl := hier.Access(core, a.Addr, a.Kind)
@@ -201,7 +200,7 @@ func sharedIPC(sku *platform.SKU, profA, profB *workload.Profile, threadsEach in
 					}
 				}
 				if count {
-					th.instr += chunk
+					th.instr += windowChunk
 				}
 			}
 		}

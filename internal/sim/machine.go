@@ -45,27 +45,26 @@ const (
 	shpPressureMissPerMiB = 1e-6
 )
 
-// Machine simulates one server of a SKU running one microservice under
-// a given soft-SKU configuration.
-type Machine struct {
-	srv    *platform.Server
-	prof   *workload.Profile
-	seed   uint64
-	layout workload.Layout
-	space  *tlb.AddressSpace
-	hier   *cache.Hierarchy
-	tlbs   []*tlb.TLB
-	pfs    []*prefetch.Engine
-	thr    []*workload.Stream
-	memMod *mem.Model
+// windowChunk is how many instructions each simulated thread runs
+// between interleavings in a window. Context switches land on chunk
+// boundaries, so PredictCtxSwitches shares it with runWindow.
+const windowChunk = 2000
 
+// Machine simulates one server of a SKU running one microservice under
+// a given soft-SKU configuration. It holds only what outlives a
+// characterization window: the window's own state (caches, TLBs,
+// prefetchers, streams) is built by measure and dropped when it
+// returns, so a machine whose window the simcache holds never
+// allocates it.
+type Machine struct {
+	srv      *platform.Server
+	prof     *workload.Profile
+	seed     uint64
+	space    *tlb.AddressSpace // regions only; prices SHP over-reservation
+	memMod   *mem.Model
 	nthreads int
-	catWays  int // CAT way limit applied via SetCAT; 0 = unlimited
-	// pages is the flattened page resolver for runWindow's hot loop.
-	pages tlb.Resolver
-	// tally[level][0] counts data loads satisfied at level, [1] stores.
-	tally [4][2]uint64
-	rates *WindowRates // cached characterization, nil until measured
+	catWays  int          // CAT way limit applied via SetCAT; 0 = unlimited
+	rates    *WindowRates // cached characterization, nil until measured
 }
 
 // WindowRates are per-instruction event rates measured over one
@@ -94,46 +93,15 @@ func NewMachine(srv *platform.Server, prof *workload.Profile, seed uint64) (*Mac
 	}
 	cfg := srv.Config()
 	sku := srv.SKU()
-
-	m := &Machine{srv: srv, prof: prof, seed: seed, memMod: mem.NewModel(sku)}
-	m.layout = prof.BuildLayout()
-	space, err := tlb.NewAddressSpace(m.layout.Regions, cfg.THP, cfg.SHPCount)
+	space, err := tlb.NewAddressSpace(prof.BuildRegions().Regions, cfg.THP, cfg.SHPCount)
 	if err != nil {
 		return nil, err
 	}
-	m.space = space
-	m.pages = space.Resolver()
-
-	m.nthreads = simThreads
-	if cfg.Cores < m.nthreads {
-		m.nthreads = cfg.Cores
+	if err := cache.CheckCDP(sku, cfg.CDP.DataWays, cfg.CDP.CodeWays); err != nil {
+		return nil, err
 	}
-	// The simulated threads share the full LLC: service data is shared
-	// across cores (one heap), so per-core LLC slicing would be wrong.
-	// The footprint component that *does* grow with active cores —
-	// per-request private state — is instead scaled into each sim
-	// thread's private span (workload.NewStream's coreScale).
-	totalLLC := sku.LLC * sku.Sockets
-	m.hier = cache.NewHierarchySized(sku, m.nthreads, totalLLC)
-	if cfg.CDP.Enabled() {
-		if err := m.hier.ApplyCDP(cfg.CDP.DataWays, cfg.CDP.CodeWays); err != nil {
-			return nil, err
-		}
-	}
-
-	geom := tlb.Geometry{
-		ITLB4K: sku.ITLB4K, ITLB2M: sku.ITLB2M,
-		DTLB4K: sku.DTLB4K, DTLB2M: sku.DTLB2M,
-		STLB: sku.STLB,
-	}
-	coreScale := float64(cfg.Cores) / float64(m.nthreads)
-	for i := 0; i < m.nthreads; i++ {
-		m.tlbs = append(m.tlbs, tlb.New(geom))
-		m.pfs = append(m.pfs, prefetch.NewEngine(m.hier, i, cfg.Prefetch))
-		m.thr = append(m.thr, workload.NewStream(prof, m.layout,
-			seed+uint64(i)*7919, i, coreScale))
-	}
-	return m, nil
+	return &Machine{srv: srv, prof: prof, seed: seed, space: space,
+		memMod: mem.NewModel(sku), nthreads: WindowThreads(cfg.Cores)}, nil
 }
 
 // Server returns the underlying server.
@@ -145,12 +113,86 @@ func (m *Machine) Profile() *workload.Profile { return m.prof }
 // SetCAT limits the LLC to n ways (the Fig 10 capacity sweep) and
 // invalidates the cached characterization.
 func (m *Machine) SetCAT(n int) error {
-	if err := m.hier.ApplyCAT(n); err != nil {
+	if err := cache.CheckCAT(m.srv.SKU(), n); err != nil {
 		return err
 	}
 	m.catWays = n
 	m.rates = nil
 	return nil
+}
+
+// Characterize returns the machine's window rates, measuring them if
+// neither this machine nor the process-wide characterization cache has
+// them yet. The cache key covers every input that reaches the window
+// (see charKey), so a hit returns the exact rates a fresh measurement
+// would produce; SetCharacterizationCache(false) forces the
+// measurement path.
+func (m *Machine) Characterize() *WindowRates {
+	if m.rates != nil {
+		return m.rates
+	}
+	if CharacterizationCacheEnabled() {
+		key := charKey(m.srv.SKU(), m.prof, m.srv.Config(), m.catWays, m.seed)
+		m.rates = charcache.getOrMeasure(key, m.measure)
+	} else {
+		m.rates = m.measure()
+	}
+	return m.rates
+}
+
+// window is the mutable state of one characterization window. Every
+// window starts from a fresh one, so measure is a function of the
+// machine's inputs alone.
+type window struct {
+	m      *Machine
+	layout workload.Layout
+	pages  tlb.Resolver // flattened page resolver for runWindow's hot loop
+	hier   *cache.Hierarchy
+	tlbs   []*tlb.TLB
+	pfs    []*prefetch.Engine
+	thr    []*workload.Stream
+	// tally[level][0] counts data loads satisfied at level, [1] stores.
+	tally [4][2]uint64
+}
+
+// newWindow builds cold window state for m's configuration.
+func (m *Machine) newWindow() *window {
+	cfg := m.srv.Config()
+	sku := m.srv.SKU()
+	w := &window{m: m, layout: m.prof.BuildLayout(), pages: m.space.Resolver()}
+	// The simulated threads share the full LLC: service data is shared
+	// across cores (one heap), so per-core LLC slicing would be wrong.
+	// The footprint component that *does* grow with active cores —
+	// per-request private state — is instead scaled into each sim
+	// thread's private span (workload.NewStream's coreScale).
+	w.hier = cache.NewHierarchySized(sku, m.nthreads, sku.LLC*sku.Sockets)
+	// NewMachine and SetCAT validated both partitions, so neither
+	// Apply can fail here.
+	if cfg.CDP.Enabled() {
+		must(w.hier.ApplyCDP(cfg.CDP.DataWays, cfg.CDP.CodeWays))
+	}
+	if m.catWays > 0 {
+		must(w.hier.ApplyCAT(m.catWays))
+	}
+	geom := tlb.Geometry{
+		ITLB4K: sku.ITLB4K, ITLB2M: sku.ITLB2M,
+		DTLB4K: sku.DTLB4K, DTLB2M: sku.DTLB2M,
+		STLB: sku.STLB,
+	}
+	coreScale := float64(cfg.Cores) / float64(m.nthreads)
+	for i := 0; i < m.nthreads; i++ {
+		w.tlbs = append(w.tlbs, tlb.New(geom))
+		w.pfs = append(w.pfs, prefetch.NewEngine(w.hier, i, cfg.Prefetch))
+		w.thr = append(w.thr, workload.NewStream(m.prof, w.layout,
+			m.seed+uint64(i)*7919, i, coreScale))
+	}
+	return w
+}
+
+func must(err error) {
+	if err != nil {
+		panic(err)
+	}
 }
 
 // prefill functionally warms the hierarchy with the steady-state
@@ -160,21 +202,22 @@ func (m *Machine) SetCAT(n int) error {
 // discard, §4); installing the tiers directly — coldest first, so LRU
 // ends up ordered by heat — lets short windows observe steady-state
 // hit rates. The subsequent instruction warm-up settles TLBs and LRU.
-func (m *Machine) prefill() {
+func (w *window) prefill() {
+	m := w.m
 	prof := m.prof
 	installData := func(c *cache.Cache, lo, hi uint64) {
-		workload.ForEachDataLine(prof, m.layout, lo, hi, func(addr uint64) {
+		workload.ForEachDataLine(prof, w.layout, lo, hi, func(addr uint64) {
 			c.InstallWarm(addr, cache.Data)
 		})
 	}
 	installCode := func(c *cache.Cache, pool int, bytes uint64) {
-		workload.ForEachCodeLine(prof, m.layout, pool, bytes/64, func(addr uint64) {
+		workload.ForEachCodeLine(prof, w.layout, pool, bytes/64, func(addr uint64) {
 			c.InstallWarm(addr, cache.Code)
 		})
 	}
 	cfg := m.srv.Config()
 	coreScale := float64(cfg.Cores) / float64(m.nthreads)
-	llc := m.hier.LLCs
+	llc := w.hier.LLCs
 	llcBytes := uint64(m.srv.SKU().LLC * m.srv.SKU().Sockets)
 	capSpan := func(b uint64) uint64 {
 		if b > llcBytes {
@@ -203,52 +246,34 @@ func (m *Machine) prefill() {
 	for ti := 0; ti < m.nthreads; ti++ {
 		pool := ti % prof.CodePools
 		installCode(llc, pool, prof.CodeMid.Bytes)
-		installCode(m.hier.L2s[ti], pool, prof.CodeMid.Bytes)
-		installCode(m.hier.L1I[ti], pool, prof.CodeHot.Bytes)
-		installData(m.hier.L2s[ti], 0, prof.DataMid.Bytes)
-		installData(m.hier.L1D[ti], 0, prof.DataHot.Bytes)
+		installCode(w.hier.L2s[ti], pool, prof.CodeMid.Bytes)
+		installCode(w.hier.L1I[ti], pool, prof.CodeHot.Bytes)
+		installData(w.hier.L2s[ti], 0, prof.DataMid.Bytes)
+		installData(w.hier.L1D[ti], 0, prof.DataHot.Bytes)
 	}
 }
 
-// Characterize returns the machine's window rates, measuring them if
-// neither this machine nor the process-wide characterization cache has
-// them yet. The cache key covers every input that reaches the window
-// (see charKey), so a hit returns the exact rates a fresh measurement
-// would produce; SetCharacterizationCache(false) forces the
-// measurement path.
-func (m *Machine) Characterize() *WindowRates {
-	if m.rates != nil {
-		return m.rates
-	}
-	if CharacterizationCacheEnabled() {
-		key := charKey(m.srv.SKU(), m.prof, m.srv.Config(), m.catWays, m.seed)
-		m.rates = charcache.getOrMeasure(key, m.measure)
-	} else {
-		m.rates = m.measure()
-	}
-	return m.rates
-}
-
-// measure runs one characterization measurement window: functional
-// prefill, instruction warm-up, stat reset, then a measured window per
-// thread, interleaved in chunks so threads genuinely contend for the
-// shared LLC.
+// measure runs one characterization measurement window on fresh
+// window state: functional prefill, instruction warm-up, stat reset,
+// then a measured window per thread, interleaved in chunks so threads
+// genuinely contend for the shared LLC.
 func (m *Machine) measure() *WindowRates {
 	mSimWindows.Inc()
-	m.prefill()
+	w := m.newWindow()
+	w.prefill()
 	ager := rng.New(m.seed ^ 0xa6e5)
-	m.hier.LLCs.ScrambleAges(ager.Intn)
-	m.runWindow(warmupInstr)
-	m.resetStats()
-	switches := m.runWindow(measureInstr)
+	w.hier.LLCs.ScrambleAges(ager.Intn)
+	w.runWindow(warmupInstr)
+	w.resetStats()
+	switches := w.runWindow(measureInstr)
 
 	instr := uint64(measureInstr) * uint64(m.nthreads)
 	r := &WindowRates{
 		Instructions: instr,
 		CtxSwitches:  switches,
-		Cache:        m.hier.Stats(),
+		Cache:        w.hier.Stats(),
 	}
-	for _, t := range m.tlbs {
+	for _, t := range w.tlbs {
 		s := t.Stats()
 		r.TLB.Fetches += s.Fetches
 		r.TLB.FetchMisses += s.FetchMisses
@@ -258,7 +283,7 @@ func (m *Machine) measure() *WindowRates {
 		r.TLB.StoreMisses += s.StoreMisses
 		r.TLB.WalkCycles += s.WalkCycles
 	}
-	for _, p := range m.pfs {
+	for _, p := range w.pfs {
 		s := p.Stats()
 		r.PF.Issued += s.Issued
 		r.PF.Moved += s.Moved
@@ -276,12 +301,12 @@ func (m *Machine) measure() *WindowRates {
 	c.CodeL2 = cs.L2.Accesses[cache.Code] - cs.L2.Misses[cache.Code]
 	c.CodeLLC = cs.LLC.Accesses[cache.Code] - cs.LLC.Misses[cache.Code]
 	c.CodeMem = cs.LLC.Misses[cache.Code]
-	c.DataL2 = m.tally[cache.L2][0]
-	c.DataLLC = m.tally[cache.LLC][0]
-	c.DataMem = m.tally[cache.Memory][0]
-	c.StoreL2 = m.tally[cache.L2][1]
-	c.StoreLLC = m.tally[cache.LLC][1]
-	c.StoreMem = m.tally[cache.Memory][1]
+	c.DataL2 = w.tally[cache.L2][0]
+	c.DataLLC = w.tally[cache.LLC][0]
+	c.DataMem = w.tally[cache.Memory][0]
+	c.StoreL2 = w.tally[cache.L2][1]
+	c.StoreLLC = w.tally[cache.LLC][1]
+	c.StoreMem = w.tally[cache.Memory][1]
 
 	// Split walk cycles by origin using miss counts.
 	iw := r.TLB.FetchMisses
@@ -305,28 +330,24 @@ func (m *Machine) measure() *WindowRates {
 // runWindow advances every thread by instrPerThread instructions in
 // interleaved chunks, returning the number of context switches
 // injected.
-func (m *Machine) runWindow(instrPerThread int) uint64 {
-	cfg := m.srv.Config()
+func (w *window) runWindow(instrPerThread int) uint64 {
+	m := w.m
 	// Context-switch interval in instructions, from the profile's
 	// per-core switch rate at this core frequency (IPC≈1 estimate; the
 	// induced error is second-order). ctxSwitchInterval clamps to ≥1,
 	// so an extreme switch rate means a switch every chunk instead of
 	// the divide-by-zero interval==0 used to cause below.
-	interval := ctxSwitchInterval(cfg.CoreFreqMHz, m.prof.CtxSwitchRate)
+	interval := ctxSwitchInterval(m.srv.Config().CoreFreqMHz, m.prof.CtxSwitchRate)
 	var switches uint64
-	const chunk = 2000
-	buf := make([]workload.Access, 0, chunk*2)
-	hier, pages, tally := m.hier, &m.pages, &m.tally
-	for done := 0; done < instrPerThread; done += chunk {
-		n := chunk
-		if instrPerThread-done < n {
-			n = instrPerThread - done
-		}
+	buf := make([]workload.Access, 0, windowChunk*2)
+	hier, pages, tally := w.hier, &w.pages, &w.tally
+	for done := 0; done < instrPerThread; done += windowChunk {
+		n := min(windowChunk, instrPerThread-done)
 		switchNow := done/interval != (done+n)/interval
-		for ti := range m.thr {
-			buf = m.thr[ti].Generate(buf[:0], n)
-			t := m.tlbs[ti]
-			pf := m.pfs[ti]
+		for ti := range w.thr {
+			buf = w.thr[ti].Generate(buf[:0], n)
+			t := w.tlbs[ti]
+			pf := w.pfs[ti]
 			for i := range buf {
 				a := &buf[i]
 				lvl := hier.Access(ti, a.Addr, a.Kind)
@@ -342,7 +363,7 @@ func (m *Machine) runWindow(instrPerThread int) uint64 {
 				pf.OnAccess(a.Addr, a.Kind, a.IP, lvl)
 			}
 			if switchNow {
-				m.thr[ti].SwitchPool()
+				w.thr[ti].SwitchPool()
 				switches++
 			}
 		}
@@ -350,12 +371,12 @@ func (m *Machine) runWindow(instrPerThread int) uint64 {
 	return switches
 }
 
-func (m *Machine) resetStats() {
-	m.tally = [4][2]uint64{}
-	m.hier.ResetStats()
-	for i := range m.tlbs {
-		m.tlbs[i].ResetStats()
-		m.pfs[i].ResetStats()
+func (w *window) resetStats() {
+	w.tally = [4][2]uint64{}
+	w.hier.ResetStats()
+	for i := range w.tlbs {
+		w.tlbs[i].ResetStats()
+		w.pfs[i].ResetStats()
 	}
 }
 
@@ -496,7 +517,7 @@ func WindowThreads(cores int) int {
 }
 
 // PredictCtxSwitches replays runWindow's chunk-boundary arithmetic over
-// one measurement window without executing it: the number of context
+// one measurement window (same windowChunk) without executing it: the number of context
 // switches a window at this core frequency and per-core switch rate
 // will inject. Exact, including the interval clamping and chunk
 // quantization.
@@ -504,12 +525,8 @@ func PredictCtxSwitches(cores int, coreFreqMHz int, ratePerSec float64) uint64 {
 	interval := ctxSwitchInterval(coreFreqMHz, ratePerSec)
 	nthreads := WindowThreads(cores)
 	var switches uint64
-	const chunk = 2000
-	for done := 0; done < measureInstr; done += chunk {
-		n := chunk
-		if measureInstr-done < n {
-			n = measureInstr - done
-		}
+	for done := 0; done < measureInstr; done += windowChunk {
+		n := min(windowChunk, measureInstr-done)
 		if done/interval != (done+n)/interval {
 			switches += uint64(nthreads)
 		}

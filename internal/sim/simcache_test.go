@@ -166,6 +166,86 @@ func TestRunWindowExtremeCtxSwitchRate(t *testing.T) {
 		if r.CtxSwitches == 0 {
 			t.Error("extreme switch rate produced no context switches")
 		}
+		cfg := srv.Config()
+		if want := PredictCtxSwitches(cfg.Cores, cfg.CoreFreqMHz, extreme.CtxSwitchRate); r.CtxSwitches != want {
+			t.Errorf("measured %d context switches, PredictCtxSwitches %d", r.CtxSwitches, want)
+		}
+	})
+}
+
+// TestPredictCtxSwitchesMatchesWindow: the twin prices context
+// switches with PredictCtxSwitches instead of a window, so the
+// prediction must equal what a window measures. Cache1 switches the
+// most of the paper's services.
+func TestPredictCtxSwitchesMatchesWindow(t *testing.T) {
+	m := machineFor(t, "Cache1", "Skylake20", nil)
+	withColdCache(t, false, func() {
+		r := m.Characterize()
+		cfg := m.Server().Config()
+		want := PredictCtxSwitches(cfg.Cores, cfg.CoreFreqMHz, m.Profile().CtxSwitchRate)
+		if r.CtxSwitches == 0 || r.CtxSwitches != want {
+			t.Errorf("measured %d context switches, PredictCtxSwitches %d", r.CtxSwitches, want)
+		}
+	})
+}
+
+// TestSetCATValidates: SetCAT checks its limit against the SKU without
+// a hierarchy and returns the hierarchy's error text.
+func TestSetCATValidates(t *testing.T) {
+	m := machineFor(t, "Web", "Skylake18", nil)
+	for n, want := range map[int]string{
+		0:  "cache LLC: way limit 0 outside [1,11]",
+		12: "cache LLC: way limit 12 outside [1,11]",
+	} {
+		if err := m.SetCAT(n); err == nil || err.Error() != want {
+			t.Errorf("SetCAT(%d) = %v, want %q", n, err, want)
+		}
+	}
+	if err := m.SetCAT(11); err != nil {
+		t.Errorf("SetCAT(11) = %v", err)
+	}
+}
+
+// TestSetCATReuseMatchesFresh is the regression test for an
+// order-dependent window: a machine re-characterized after SetCAT used
+// to re-run the window on the previous window's warm caches, advanced
+// streams and TLBs, and store that result under the key a fresh
+// machine at the same CAT limit also hits. Each window now starts from
+// fresh state, so a reused machine must match a fresh one with the
+// cache off, and with the cache on whichever of the two runs first.
+func TestSetCATReuseMatchesFresh(t *testing.T) {
+	const ways = 4
+	fresh := func() *WindowRates {
+		m := machineFor(t, "Web", "Skylake18", nil)
+		if err := m.SetCAT(ways); err != nil {
+			t.Fatal(err)
+		}
+		return m.Characterize()
+	}
+	reused := func() *WindowRates {
+		m := machineFor(t, "Web", "Skylake18", nil)
+		m.Characterize()
+		if err := m.SetCAT(ways); err != nil {
+			t.Fatal(err)
+		}
+		return m.Characterize()
+	}
+	var want *WindowRates
+	withColdCache(t, false, func() { want = fresh() })
+	check := func(name string, got *WindowRates) {
+		t.Helper()
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: LLC misses %v, fresh machine %v", name, got.Cache.LLC.Misses, want.Cache.LLC.Misses)
+		}
+	}
+	withColdCache(t, false, func() { check("cache off, reused", reused()) })
+	withColdCache(t, true, func() {
+		check("cache on, reused first", reused())
+		check("cache on, fresh second", fresh())
+	})
+	withColdCache(t, true, func() {
+		check("cache on, fresh first", fresh())
+		check("cache on, reused second", reused())
 	})
 }
 

@@ -255,10 +255,24 @@ type Layout struct {
 	SlabPerm []uint32
 }
 
-// BuildLayout constructs the service's address-space regions. Region
-// bases are spaced far apart so regions never overlap regardless of
-// size.
+// BuildLayout constructs the service's address-space regions and the
+// page permutations that scatter its hot pages.
 func (p *Profile) BuildLayout() Layout {
+	l := p.BuildRegions()
+	if p.JITCode {
+		l.CodePerm = pagePerm(p.CodeFootprint, 0x5eed1)
+	}
+	if p.SHPHeap > 0 {
+		l.SlabPerm = pagePerm(p.SHPHeap, 0x5eed2)
+	}
+	return l
+}
+
+// BuildRegions constructs the layout's address-space regions alone,
+// leaving CodePerm and SlabPerm nil: all an address space needs, at a
+// fraction of BuildLayout's cost. Region bases are spaced far apart so
+// regions never overlap regardless of size.
+func (p *Profile) BuildRegions() Layout {
 	var l Layout
 	l.SHPHeap = -1
 	base := uint64(1) << 32
@@ -289,12 +303,6 @@ func (p *Profile) BuildLayout() Layout {
 	}
 	l.Heap = add(tlb.Region{Name: "heap", Size: heapSize, Anon: true, Madvise: p.HeapMadvise})
 	l.Stack = add(tlb.Region{Name: "stack", Size: 8 << 20, Anon: true})
-	if p.JITCode {
-		l.CodePerm = pagePerm(p.CodeFootprint, 0x5eed1)
-	}
-	if p.SHPHeap > 0 {
-		l.SlabPerm = pagePerm(p.SHPHeap, 0x5eed2)
-	}
 	return l
 }
 

@@ -48,6 +48,14 @@ echo "== go test -race =="
 # logs, and fault fingerprints.
 go test -race -shuffle=on -timeout 45m ./...
 
+echo "== bench module =="
+# bench/ is a Go module of its own (replace softsku => ../), so the
+# ./... patterns above never build, vet or test it. Its test is the
+# ~20 s smoke of every workload plus the schema and verdict checks;
+# it runs without -race to stay short.
+go -C bench vet .
+go -C bench test .
+
 echo "== chaos smoke =="
 out=$(go run ./cmd/musku -service Web -knobs thp -chaos -chaos-seed 7 -guardrail-pct 2 -max-samples 1500 -q)
 if ! echo "$out" | grep -q "soft SKU:"; then
