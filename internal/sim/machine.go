@@ -133,58 +133,85 @@ func (m *Machine) Characterize() *WindowRates {
 	}
 	if CharacterizationCacheEnabled() {
 		key := charKey(m.srv.SKU(), m.prof, m.srv.Config(), m.catWays, m.seed)
-		m.rates = charcache.getOrMeasure(key, m.measure)
+		m.rates = charcache.getOrMeasure(key, m.measureHalves)
 	} else {
 		m.rates = m.measure()
 	}
 	return m.rates
 }
 
-// window is the mutable state of one characterization window. Every
-// window starts from a fresh one, so measure is a function of the
-// machine's inputs alone.
+// memHalf is a window's memory half: everything the cache hierarchy
+// and the prefetchers observe. A window splits into two halves that
+// read disjoint inputs and share only the access stream that drives
+// them (DESIGN.md §11): the memory half never reads THP or SHP, and
+// the TLB half, the TLBs' tlb.Stats, never reads the prefetch mask,
+// CDP or CAT.
+type memHalf struct {
+	cache    cache.LevelStats
+	pf       prefetch.Stats
+	tally    [4][2]uint64 // [level][0] data loads satisfied at level, [1] stores
+	switches uint64
+}
+
+// window is the mutable state of one replay of a characterization
+// window. Every replay starts from a fresh one, so each half it
+// simulates is a function of the machine's inputs alone. A half the
+// replay does not simulate is left unbuilt: hier and pfs are nil when
+// the memory half is memoized, tlbs when the TLB half is.
 type window struct {
 	m      *Machine
 	layout workload.Layout
-	pages  tlb.Resolver // flattened page resolver for runWindow's hot loop
-	hier   *cache.Hierarchy
-	tlbs   []*tlb.TLB
-	pfs    []*prefetch.Engine
 	thr    []*workload.Stream
-	// tally[level][0] counts data loads satisfied at level, [1] stores.
+
+	hier  *cache.Hierarchy
+	pfs   []*prefetch.Engine
 	tally [4][2]uint64
+
+	pages tlb.Resolver // flattened page resolver for runWindow's hot loop
+	tlbs  []*tlb.TLB
 }
 
-// newWindow builds cold window state for m's configuration.
-func (m *Machine) newWindow() *window {
+// newWindow builds cold window state for m's configuration, with only
+// the halves a replay simulates.
+func (m *Machine) newWindow(simMem, simTLB bool) *window {
 	cfg := m.srv.Config()
 	sku := m.srv.SKU()
-	w := &window{m: m, layout: m.prof.BuildLayout(), pages: m.space.Resolver()}
-	// The simulated threads share the full LLC: service data is shared
-	// across cores (one heap), so per-core LLC slicing would be wrong.
-	// The footprint component that *does* grow with active cores —
-	// per-request private state — is instead scaled into each sim
-	// thread's private span (workload.NewStream's coreScale).
-	w.hier = cache.NewHierarchySized(sku, m.nthreads, sku.LLC*sku.Sockets)
-	// NewMachine and SetCAT validated both partitions, so neither
-	// Apply can fail here.
-	if cfg.CDP.Enabled() {
-		must(w.hier.ApplyCDP(cfg.CDP.DataWays, cfg.CDP.CodeWays))
-	}
-	if m.catWays > 0 {
-		must(w.hier.ApplyCAT(m.catWays))
-	}
-	geom := tlb.Geometry{
-		ITLB4K: sku.ITLB4K, ITLB2M: sku.ITLB2M,
-		DTLB4K: sku.DTLB4K, DTLB2M: sku.DTLB2M,
-		STLB: sku.STLB,
-	}
+	w := &window{m: m, layout: m.prof.BuildLayout()}
 	coreScale := float64(cfg.Cores) / float64(m.nthreads)
 	for i := 0; i < m.nthreads; i++ {
-		w.tlbs = append(w.tlbs, tlb.New(geom))
-		w.pfs = append(w.pfs, prefetch.NewEngine(w.hier, i, cfg.Prefetch))
 		w.thr = append(w.thr, workload.NewStream(m.prof, w.layout,
 			m.seed+uint64(i)*7919, i, coreScale))
+	}
+	if simMem {
+		// The simulated threads share the full LLC: service data is
+		// shared across cores (one heap), so per-core LLC slicing would
+		// be wrong. The footprint component that *does* grow with
+		// active cores — per-request private state — is instead scaled
+		// into each sim thread's private span (workload.NewStream's
+		// coreScale).
+		w.hier = cache.NewHierarchySized(sku, m.nthreads, sku.LLC*sku.Sockets)
+		// NewMachine and SetCAT validated both partitions, so neither
+		// Apply can fail here.
+		if cfg.CDP.Enabled() {
+			must(w.hier.ApplyCDP(cfg.CDP.DataWays, cfg.CDP.CodeWays))
+		}
+		if m.catWays > 0 {
+			must(w.hier.ApplyCAT(m.catWays))
+		}
+		for i := 0; i < m.nthreads; i++ {
+			w.pfs = append(w.pfs, prefetch.NewEngine(w.hier, i, cfg.Prefetch))
+		}
+	}
+	if simTLB {
+		w.pages = m.space.Resolver()
+		geom := tlb.Geometry{
+			ITLB4K: sku.ITLB4K, ITLB2M: sku.ITLB2M,
+			DTLB4K: sku.DTLB4K, DTLB2M: sku.DTLB2M,
+			STLB: sku.STLB,
+		}
+		for i := 0; i < m.nthreads; i++ {
+			w.tlbs = append(w.tlbs, tlb.New(geom))
+		}
 	}
 	return w
 }
@@ -253,41 +280,69 @@ func (w *window) prefill() {
 	}
 }
 
-// measure runs one characterization measurement window on fresh
-// window state: functional prefill, instruction warm-up, stat reset,
-// then a measured window per thread, interleaved in chunks so threads
-// genuinely contend for the shared LLC.
+// measure runs one whole characterization window with nothing
+// memoized: a replay that simulates both halves.
 func (m *Machine) measure() *WindowRates {
 	mSimWindows.Inc()
-	w := m.newWindow()
-	w.prefill()
-	ager := rng.New(m.seed ^ 0xa6e5)
-	w.hier.LLCs.ScrambleAges(ager.Intn)
+	mh, ts := m.replay(true, true)
+	return m.compose(&mh, &ts)
+}
+
+// replay runs one pass of the characterization window on fresh window
+// state — functional prefill, instruction warm-up, stat reset, then a
+// measured window per thread, interleaved in chunks so threads
+// genuinely contend for the shared LLC — and returns the halves it was
+// asked to simulate. The access stream is generated either way; a half
+// not simulated skips its models, and the memory half's absence also
+// skips the hierarchy build and the prefill.
+func (m *Machine) replay(simMem, simTLB bool) (memHalf, tlb.Stats) {
+	w := m.newWindow(simMem, simTLB)
+	if simMem {
+		mSimMemPasses.Inc()
+		w.prefill()
+		ager := rng.New(m.seed ^ 0xa6e5)
+		w.hier.LLCs.ScrambleAges(ager.Intn)
+	}
+	if simTLB {
+		mSimTLBPasses.Inc()
+	}
 	w.runWindow(warmupInstr)
 	w.resetStats()
 	switches := w.runWindow(measureInstr)
 
+	var mh memHalf
+	if simMem {
+		mh = memHalf{cache: w.hier.Stats(), tally: w.tally, switches: switches}
+		for _, p := range w.pfs {
+			s := p.Stats()
+			mh.pf.Issued += s.Issued
+			mh.pf.Moved += s.Moved
+			mh.pf.FromMemory += s.FromMemory
+		}
+	}
+	var ts tlb.Stats
+	for _, t := range w.tlbs {
+		s := t.Stats()
+		ts.Fetches += s.Fetches
+		ts.FetchMisses += s.FetchMisses
+		ts.Loads += s.Loads
+		ts.LoadMisses += s.LoadMisses
+		ts.Stores += s.Stores
+		ts.StoreMisses += s.StoreMisses
+		ts.WalkCycles += s.WalkCycles
+	}
+	return mh, ts
+}
+
+// compose turns a window's two halves into its rates.
+func (m *Machine) compose(mh *memHalf, ts *tlb.Stats) *WindowRates {
 	instr := uint64(measureInstr) * uint64(m.nthreads)
 	r := &WindowRates{
 		Instructions: instr,
-		CtxSwitches:  switches,
-		Cache:        w.hier.Stats(),
-	}
-	for _, t := range w.tlbs {
-		s := t.Stats()
-		r.TLB.Fetches += s.Fetches
-		r.TLB.FetchMisses += s.FetchMisses
-		r.TLB.Loads += s.Loads
-		r.TLB.LoadMisses += s.LoadMisses
-		r.TLB.Stores += s.Stores
-		r.TLB.StoreMisses += s.StoreMisses
-		r.TLB.WalkCycles += s.WalkCycles
-	}
-	for _, p := range w.pfs {
-		s := p.Stats()
-		r.PF.Issued += s.Issued
-		r.PF.Moved += s.Moved
-		r.PF.FromMemory += s.FromMemory
+		CtxSwitches:  mh.switches,
+		Cache:        mh.cache,
+		TLB:          *ts,
+		PF:           mh.pf,
 	}
 
 	mix := m.prof.Mix.Normalize()
@@ -301,12 +356,12 @@ func (m *Machine) measure() *WindowRates {
 	c.CodeL2 = cs.L2.Accesses[cache.Code] - cs.L2.Misses[cache.Code]
 	c.CodeLLC = cs.LLC.Accesses[cache.Code] - cs.LLC.Misses[cache.Code]
 	c.CodeMem = cs.LLC.Misses[cache.Code]
-	c.DataL2 = w.tally[cache.L2][0]
-	c.DataLLC = w.tally[cache.LLC][0]
-	c.DataMem = w.tally[cache.Memory][0]
-	c.StoreL2 = w.tally[cache.L2][1]
-	c.StoreLLC = w.tally[cache.LLC][1]
-	c.StoreMem = w.tally[cache.Memory][1]
+	c.DataL2 = mh.tally[cache.L2][0]
+	c.DataLLC = mh.tally[cache.LLC][0]
+	c.DataMem = mh.tally[cache.Memory][0]
+	c.StoreL2 = mh.tally[cache.L2][1]
+	c.StoreLLC = mh.tally[cache.LLC][1]
+	c.StoreMem = mh.tally[cache.Memory][1]
 
 	// Split walk cycles by origin using miss counts.
 	iw := r.TLB.FetchMisses
@@ -328,7 +383,8 @@ func (m *Machine) measure() *WindowRates {
 }
 
 // runWindow advances every thread by instrPerThread instructions in
-// interleaved chunks, returning the number of context switches
+// interleaved chunks, feeding each chunk of the stream to the halves
+// the window simulates, and returns the number of context switches
 // injected.
 func (w *window) runWindow(instrPerThread int) uint64 {
 	m := w.m
@@ -346,21 +402,30 @@ func (w *window) runWindow(instrPerThread int) uint64 {
 		switchNow := done/interval != (done+n)/interval
 		for ti := range w.thr {
 			buf = w.thr[ti].Generate(buf[:0], n)
-			t := w.tlbs[ti]
-			pf := w.pfs[ti]
-			for i := range buf {
-				a := &buf[i]
-				lvl := hier.Access(ti, a.Addr, a.Kind)
-				if a.Kind == cache.Data {
-					st := 0
-					if a.Type == tlb.Store {
-						st = 1
+			// The halves share no state, so each takes the chunk in
+			// turn.
+			if hier != nil {
+				pf := w.pfs[ti]
+				for i := range buf {
+					a := &buf[i]
+					lvl := hier.Access(ti, a.Addr, a.Kind)
+					if a.Kind == cache.Data {
+						st := 0
+						if a.Type == tlb.Store {
+							st = 1
+						}
+						tally[lvl][st]++
 					}
-					tally[lvl][st]++
+					pf.OnAccess(a.Addr, a.Kind, a.IP, lvl)
 				}
-				page, huge := pages.PageOf(int(a.Region), a.Addr)
-				t.Access(page, huge, a.Type)
-				pf.OnAccess(a.Addr, a.Kind, a.IP, lvl)
+			}
+			if w.tlbs != nil {
+				t := w.tlbs[ti]
+				for i := range buf {
+					a := &buf[i]
+					page, huge := pages.PageOf(int(a.Region), a.Addr)
+					t.Access(page, huge, a.Type)
+				}
 			}
 			if switchNow {
 				w.thr[ti].SwitchPool()
@@ -373,10 +438,14 @@ func (w *window) runWindow(instrPerThread int) uint64 {
 
 func (w *window) resetStats() {
 	w.tally = [4][2]uint64{}
-	w.hier.ResetStats()
-	for i := range w.tlbs {
-		w.tlbs[i].ResetStats()
-		w.pfs[i].ResetStats()
+	if w.hier != nil {
+		w.hier.ResetStats()
+	}
+	for _, p := range w.pfs {
+		p.ResetStats()
+	}
+	for _, t := range w.tlbs {
+		t.ResetStats()
 	}
 }
 

@@ -38,73 +38,91 @@ func keyInputs(t *testing.T, svc, plat string) (*platform.SKU, *workload.Profile
 	return sku, prof, ProductionConfig(sku, prof)
 }
 
+// keyMoves reports which of the whole-window, memory-half and TLB-half
+// keys differ between two sets of window inputs.
+type keyMoves struct{ whole, mem, tlb bool }
+
+func moves(sku *platform.SKU, prof *workload.Profile, cfg knob.Config, cat int, seed uint64,
+	sku2 *platform.SKU, prof2 *workload.Profile, cfg2 knob.Config, cat2 int, seed2 uint64) keyMoves {
+	mem, tlb := halfKeys(sku, prof, cfg, cat, seed)
+	mem2, tlb2 := halfKeys(sku2, prof2, cfg2, cat2, seed2)
+	return keyMoves{
+		whole: charKey(sku, prof, cfg, cat, seed) != charKey(sku2, prof2, cfg2, cat2, seed2),
+		mem:   mem != mem2,
+		tlb:   tlb != tlb2,
+	}
+}
+
 // TestCharKeyCompleteness flips every knob.Config field one at a time
-// and asserts the fingerprint changes iff the field is µarch-relevant.
-// The table is keyed by field name and must cover every field, so a
-// new knob landing in knob.Config fails this test until its cache-key
-// treatment is decided — the guard against silently-stale entries.
+// and asserts which keys move: the whole-window key iff the field is
+// µarch-relevant, and each half key iff that half reads the field. The
+// table is keyed by field name and must cover every field, so a new
+// knob landing in knob.Config fails this test until its treatment by
+// the whole key and by each half is decided — the guard against
+// silently-stale entries.
 func TestCharKeyCompleteness(t *testing.T) {
 	sku, prof, cfg := keyInputs(t, "Web", "Skylake18")
 	if prof.CtxSwitchRate <= 0 {
 		t.Fatal("test needs a profile with a nonzero context-switch rate")
 	}
+	all, none := keyMoves{true, true, true}, keyMoves{}
 	cases := map[string]struct {
-		flip       func(*knob.Config)
-		wantChange bool
+		flip func(*knob.Config)
+		want keyMoves
 	}{
 		// Core frequency reaches the window only through the
-		// context-switch interval; a large change moves the interval,
-		// so with this profile the key must change.
-		"CoreFreqMHz":   {func(c *knob.Config) { c.CoreFreqMHz /= 2 }, true},
-		"UncoreFreqMHz": {func(c *knob.Config) { c.UncoreFreqMHz /= 2 }, false},
-		"Cores":         {func(c *knob.Config) { c.Cores /= 2 }, true},
-		"CDP":           {func(c *knob.Config) { c.CDP = knob.CDPConfig{DataWays: 7, CodeWays: 4} }, true},
-		"Prefetch":      {func(c *knob.Config) { c.Prefetch = knob.PrefetchNone }, true},
-		"THP":           {func(c *knob.Config) { c.THP = knob.THPNever }, true},
-		"SHPCount":      {func(c *knob.Config) { c.SHPCount += 512 }, true},
+		// context-switch interval, which shapes the access stream both
+		// halves replay; a large change moves the interval, so with
+		// this profile every key must change.
+		"CoreFreqMHz":   {func(c *knob.Config) { c.CoreFreqMHz /= 2 }, all},
+		"UncoreFreqMHz": {func(c *knob.Config) { c.UncoreFreqMHz /= 2 }, none},
+		"Cores":         {func(c *knob.Config) { c.Cores /= 2 }, all},
+		"CDP":           {func(c *knob.Config) { c.CDP = knob.CDPConfig{DataWays: 7, CodeWays: 4} }, keyMoves{whole: true, mem: true}},
+		"Prefetch":      {func(c *knob.Config) { c.Prefetch = knob.PrefetchNone }, keyMoves{whole: true, mem: true}},
+		"THP":           {func(c *knob.Config) { c.THP = knob.THPNever }, keyMoves{whole: true, tlb: true}},
+		"SHPCount":      {func(c *knob.Config) { c.SHPCount += 512 }, keyMoves{whole: true, tlb: true}},
 	}
 	typ := reflect.TypeOf(cfg)
 	for i := 0; i < typ.NumField(); i++ {
 		name := typ.Field(i).Name
 		tc, ok := cases[name]
 		if !ok {
-			t.Errorf("knob.Config field %s has no cache-key expectation: decide whether it is µarch-relevant and add it to this table (and to charKey if so)", name)
+			t.Errorf("knob.Config field %s has no cache-key expectation: decide whether it is µarch-relevant and which window halves read it, and add it to this table (and to charKey and halfKeys if so)", name)
 			continue
 		}
-		base := charKey(sku, prof, cfg, 0, 1)
 		mod := cfg
 		tc.flip(&mod)
 		if mod == cfg {
 			t.Errorf("%s: flip did not change the config", name)
 			continue
 		}
-		changed := charKey(sku, prof, mod, 0, 1) != base
-		if changed != tc.wantChange {
-			t.Errorf("%s: key changed = %v, want %v", name, changed, tc.wantChange)
+		if got := moves(sku, prof, cfg, 0, 1, sku, prof, mod, 0, 1); got != tc.want {
+			t.Errorf("%s: keys moved (whole, mem, tlb) = %v, want %v", name, got, tc.want)
 		}
 	}
 }
 
 // TestCharKeyNonConfigInputs covers the key inputs that are not
-// knob.Config fields: seed, CAT ways, profile, and SKU.
+// knob.Config fields: seed, CAT ways, profile, and SKU. CAT limits the
+// LLC, so it moves the memory half's key and not the TLB half's.
 func TestCharKeyNonConfigInputs(t *testing.T) {
 	sku, prof, cfg := keyInputs(t, "Web", "Skylake18")
-	base := charKey(sku, prof, cfg, 0, 1)
-	if charKey(sku, prof, cfg, 0, 2) == base {
-		t.Error("seed change did not change the key")
+	all := keyMoves{true, true, true}
+	if got := moves(sku, prof, cfg, 0, 1, sku, prof, cfg, 0, 2); got != all {
+		t.Errorf("seed change moved keys %v, want all", got)
 	}
-	if charKey(sku, prof, cfg, 4, 1) == base {
-		t.Error("CAT way change did not change the key")
+	if got := moves(sku, prof, cfg, 0, 1, sku, prof, cfg, 4, 1); got != (keyMoves{whole: true, mem: true}) {
+		t.Errorf("CAT way change moved keys %v, want whole and memory only", got)
 	}
 	prof2 := *prof
 	prof2.DataHot.Bytes += 4096
-	if charKey(sku, &prof2, cfg, 0, 1) == base {
-		t.Error("profile change did not change the key")
+	if got := moves(sku, prof, cfg, 0, 1, sku, &prof2, cfg, 0, 1); got != all {
+		t.Errorf("profile change moved keys %v, want all", got)
 	}
 	sku2 := *sku
 	sku2.LLC += 1 << 20
-	if charKey(&sku2, prof, cfg, 0, 1) == base {
-		t.Error("SKU change did not change the key")
+	if got := moves(sku, prof, cfg, 0, 1, &sku2, prof, cfg, 0, 1); got != all {
+		t.Errorf("SKU change moved keys %v, want all", got)
 	}
 }
 

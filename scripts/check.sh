@@ -82,6 +82,23 @@ if [ "$cached" != "$uncached" ]; then
 fi
 echo "cached and uncached runs identical"
 
+echo "== sim-cache half-memoization smoke =="
+# A hill climb composes knobs, so its windows also take the paths the
+# thp,shp run above never reaches: a memory-only replay (a prefetch
+# arm whose TLB half is memoized) and no replay at all (both halves
+# memoized by earlier arms). The cache must stay invisible there too.
+cached=$(go run ./cmd/musku -service Web -knobs thp,shp,prefetch -search hill -max-samples 1500 -seed 3 -q -json)
+uncached=$(go run ./cmd/musku -service Web -knobs thp,shp,prefetch -search hill -max-samples 1500 -seed 3 -q -json -sim-cache=off)
+if [ "$cached" != "$uncached" ]; then
+	echo "sim-cache half smoke: cached and uncached hill climbs diverged" >&2
+	echo "--- cached ---" >&2
+	echo "$cached" >&2
+	echo "--- uncached ---" >&2
+	echo "$uncached" >&2
+	exit 1
+fi
+echo "cached and uncached hill climbs identical"
+
 echo "== observability serve smoke =="
 # A real musku run with the live server attached: the scrape endpoints
 # must come up, /metrics must carry the softsku_ namespace, and the
