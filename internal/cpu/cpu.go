@@ -104,12 +104,28 @@ func (t TopDown) String() string {
 		t.Retiring*100, t.FrontEnd*100, t.BadSpec*100, t.BackEnd*100)
 }
 
-// Result is the core model's output for one measurement window.
-type Result struct {
+// Throughput is the part of the core model's output that sets a
+// core's instruction rate: what a bandwidth↔latency fixed point reads
+// at each memory latency it tries.
+type Throughput struct {
 	Cycles   float64 // total core cycles for Counts.Instructions
 	IPC      float64 // per-thread instructions per cycle
 	SMTBoost float64 // core throughput multiplier from SMT (1 if off)
-	TopDown  TopDown
+}
+
+// CoreIPS returns one core's instruction throughput at the given
+// frequency, including the SMT boost.
+func (t Throughput) CoreIPS(freqMHz int) float64 {
+	if t.Cycles == 0 {
+		return 0
+	}
+	return t.IPC * t.SMTBoost * float64(freqMHz) * 1e6
+}
+
+// Result is the core model's output for one measurement window.
+type Result struct {
+	Throughput
+	TopDown TopDown
 
 	// Stall components in cycles, for diagnostics and tests.
 	BaseCycles     float64
@@ -118,65 +134,125 @@ type Result struct {
 	BackEndCycles  float64
 }
 
-// CoreIPS returns one core's instruction throughput at the given
-// frequency, including the SMT boost.
-func (r Result) CoreIPS(freqMHz int) float64 {
-	if r.Cycles == 0 {
-		return 0
-	}
-	return r.IPC * r.SMTBoost * float64(freqMHz) * 1e6
-}
-
 // Analyze converts event counts into cycles and the TMAM breakdown.
 func Analyze(c Counts, p Params) Result {
+	q := Prepare(c, p)
+	return q.Result(p.MemLatCycles)
+}
+
+// Prepared is the cycle model for one set of counts and parameters,
+// split at memory latency: every term that does not depend on
+// Params.MemLatCycles is folded once, so pricing a latency repeats only
+// the terms that do. A fixed point that varies nothing else (sim's
+// bandwidth↔latency bisection) prices each candidate with Price and
+// builds the full Result once, at the point it settles on.
+//
+// Each folded term is a left-associative prefix of a sum or product of
+// the one-pass model, and the remaining terms are applied in the same
+// order, so every price is bit-identical to evaluating all the terms at
+// that latency. Pre-multiplying factors in a different order would not
+// be: floating-point products and sums do not reassociate.
+type Prepared struct {
+	instr float64 // 0: no instructions, every price is the zero result
+	width float64
+	smt   bool
+
+	base    float64
+	badspec float64
+
+	// Front end: feFixed + feMem·lat + itlb + ctx.
+	feFixed, feMem, itlb, ctx float64
+
+	// Back end: beOverlap·(dataFixed + dataMem·lat) +
+	// storeOverlap·(storeFixed + storeMem·lat) + dtlb + dep.
+	beOverlap            float64
+	dataFixed, dataMem   float64
+	storeFixed, storeMem float64
+	dtlb, dep            float64
+}
+
+// Prepare folds every latency-independent term of the cycle model.
+// p.MemLatCycles is ignored: it is the argument of Price and Result.
+func Prepare(c Counts, p Params) Prepared {
 	if p.Width <= 0 {
 		p.Width = 4
 	}
 	instr := float64(c.Instructions)
 	if instr == 0 {
-		return Result{SMTBoost: 1}
+		return Prepared{}
 	}
-
-	base := instr / (float64(p.Width) * baseDisp)
-
-	frontend := feExposeL2*float64(c.CodeL2)*p.L2LatCycles +
-		feExposeLLC*float64(c.CodeLLC)*p.LLCLatCycles +
-		feExposeMem*float64(c.CodeMem)*p.MemLatCycles +
-		itlbExpose*float64(c.ITLBWalkCycles)
-
-	badspec := float64(c.Mispredicts) * p.MispredictPen
-
 	beOverlap := p.BEOverlap
 	if beOverlap == 0 {
 		beOverlap = DefaultBEOverlap
 	}
-	backend := beOverlap*(float64(c.DataL2)*p.L2LatCycles+
-		float64(c.DataLLC)*p.LLCLatCycles+
-		float64(c.DataMem)*p.MemLatCycles) +
-		storeOverlap*(float64(c.StoreL2)*p.L2LatCycles+
-			float64(c.StoreLLC)*p.LLCLatCycles+
-			float64(c.StoreMem)*p.MemLatCycles) +
-		dtlbExpose*float64(c.DTLBWalkCycles) +
-		p.DepStallCPI*instr
+	return Prepared{
+		instr: instr,
+		width: float64(p.Width),
+		smt:   p.SMT,
 
-	// Context-switch direct cost executes kernel code: charge it as
-	// front-end-heavy OS time (register save/restore plus scheduler
-	// path is fetch-bound on cold code).
-	frontend += float64(c.CtxSwitchCycles)
+		base:    instr / (float64(p.Width) * baseDisp),
+		badspec: float64(c.Mispredicts) * p.MispredictPen,
 
-	cycles := base + frontend + badspec + backend
-	ipc := instr / cycles
+		feFixed: feExposeL2*float64(c.CodeL2)*p.L2LatCycles +
+			feExposeLLC*float64(c.CodeLLC)*p.LLCLatCycles,
+		feMem: feExposeMem * float64(c.CodeMem),
+		itlb:  itlbExpose * float64(c.ITLBWalkCycles),
+		// Context-switch direct cost executes kernel code: charge it as
+		// front-end-heavy OS time (register save/restore plus scheduler
+		// path is fetch-bound on cold code).
+		ctx: float64(c.CtxSwitchCycles),
 
+		beOverlap:  beOverlap,
+		dataFixed:  float64(c.DataL2)*p.L2LatCycles + float64(c.DataLLC)*p.LLCLatCycles,
+		dataMem:    float64(c.DataMem),
+		storeFixed: float64(c.StoreL2)*p.L2LatCycles + float64(c.StoreLLC)*p.LLCLatCycles,
+		storeMem:   float64(c.StoreMem),
+		dtlb:       dtlbExpose * float64(c.DTLBWalkCycles),
+		dep:        p.DepStallCPI * instr,
+	}
+}
+
+// Price returns cycles, IPC and SMT boost at a memory latency of
+// memLatCycles: Result without the TopDown breakdown.
+func (q *Prepared) Price(memLatCycles float64) Throughput {
+	t, _, _ := q.price(memLatCycles)
+	return t
+}
+
+// price is the one copy of the latency-dependent arithmetic; it also
+// returns the front-end and back-end stall cycles Result reports.
+func (q *Prepared) price(memLat float64) (t Throughput, frontend, backend float64) {
+	if q.instr == 0 {
+		return Throughput{SMTBoost: 1}, 0, 0
+	}
+	frontend = q.feFixed + q.feMem*memLat + q.itlb + q.ctx
+	backend = q.beOverlap*(q.dataFixed+q.dataMem*memLat) +
+		storeOverlap*(q.storeFixed+q.storeMem*memLat) +
+		q.dtlb +
+		q.dep
+
+	cycles := q.base + frontend + q.badspec + backend
 	boost := 1.0
-	if p.SMT {
-		stallFrac := (frontend + badspec + backend) / cycles
+	if q.smt {
+		stallFrac := (frontend + q.badspec + backend) / cycles
 		boost = 1 + smtHideGain*stallFrac*2 // sibling fills some stall slots
 		if boost > smtMaxBoost {
 			boost = smtMaxBoost
 		}
 	}
+	return Throughput{Cycles: cycles, IPC: q.instr / cycles, SMTBoost: boost}, frontend, backend
+}
 
-	slots := cycles * float64(p.Width)
+// Result returns the full model output, TopDown included, at a memory
+// latency of memLatCycles.
+func (q *Prepared) Result(memLatCycles float64) Result {
+	t, frontend, backend := q.price(memLatCycles)
+	if q.instr == 0 {
+		return Result{Throughput: t}
+	}
+	instr, base, badspec := q.instr, q.base, q.badspec
+
+	slots := t.Cycles * q.width
 	retiring := instr / slots
 	lost := 1 - retiring
 	stall := frontend + badspec + backend
@@ -185,7 +261,7 @@ func Analyze(c Counts, p Params) Result {
 		// Distribute non-retiring slots across stall causes, folding
 		// the dispatch-inefficiency share of base cycles into the
 		// back end (it is resource-bound in TMAM terms).
-		slack := base - instr/float64(p.Width)
+		slack := base - instr/q.width
 		total := stall + slack
 		td.FrontEnd = lost * frontend / total
 		td.BadSpec = lost * badspec / total
@@ -195,9 +271,7 @@ func Analyze(c Counts, p Params) Result {
 	}
 
 	return Result{
-		Cycles:         cycles,
-		IPC:            ipc,
-		SMTBoost:       boost,
+		Throughput:     t,
 		TopDown:        td,
 		BaseCycles:     base,
 		FrontEndCycles: frontend,

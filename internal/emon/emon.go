@@ -55,16 +55,11 @@ func (s *Sampler) Machine() *sim.Machine { return s.m }
 // operating solves the machine at the load-modulated utilization.
 func (s *Sampler) operating(t float64) (sim.Operating, float64) {
 	mSampleReads.Inc()
-	prof := s.m.Profile()
 	factor := 1.0
 	if s.load != nil {
 		factor = s.load.Factor(t)
 	}
-	util := prof.MaxCPUUtil * factor
-	if util > 1 {
-		util = 1
-	}
-	return s.m.Solve(util), factor
+	return s.m.Solve(s.m.Profile().MaxCPUUtil * factor), factor
 }
 
 // MIPS returns one MIPS sample at virtual time t — µSKU's throughput

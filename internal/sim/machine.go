@@ -10,6 +10,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"softsku/internal/cache"
 	"softsku/internal/cpu"
@@ -476,7 +477,8 @@ type Operating struct {
 // bandwidth, which depends on achieved IPS, which depends on memory
 // latency. Saturation-bound services (Web on Broadwell) settle where
 // the latency curve's knee caps throughput — the mechanism behind
-// Figs 16(b) and 17.
+// Figs 16(b) and 17. util is clamped to (0, 1]: 1e-3 at or below 0,
+// 1 above it.
 func (m *Machine) Solve(util float64) Operating {
 	return solveRates(m.srv.SKU(), m.prof, m.srv.Config(), m.memMod, m.Characterize(), util)
 }
@@ -502,48 +504,60 @@ func solveRates(sku *platform.SKU, prof *workload.Profile, cfg knob.Config, memM
 	effMHz := sku.EffectiveCoreMHz(cfg, prof.AVXFrac())
 	uncore := sku.UncoreScale(cfg)
 	ghz := float64(effMHz) / 1000
+	cores := float64(cfg.Cores)
 
 	counts := r.Counts
 	counts.CtxSwitchCycles = uint64(float64(r.CtxSwitches) * ctxSwitchCostSec * float64(effMHz) * 1e6)
+	// Only memory latency moves with the bisection variable, so the rest
+	// of the cycle model is folded once (cpu.Prepared).
+	model := cpu.Prepare(counts, cpu.Params{
+		Width:         sku.DispatchWidth,
+		L2LatCycles:   sku.L2LatencyNS * ghz,
+		LLCLatCycles:  sku.LLCLatencyNS * (0.45 + 0.55*uncore) * ghz,
+		MispredictPen: 15,
+		DepStallCPI:   prof.DepStallCPI,
+		BEOverlap:     prof.BEOverlap,
+		SMT:           sku.SMT > 1,
+	})
 
 	linesPerInstr := r.DemandMemPerInstr + r.PrefetchMemPerInstr
-	var res cpu.Result
-	var latNS float64
-	// achieved(x) is the machine-wide IPS the cycle model delivers when
-	// memory latency is priced at the bandwidth x·lines·64 implies. It
-	// is monotone non-increasing in x, so the fixed point
-	// achieved(IPS) = IPS is unique; bisection is robust even on the
-	// steep saturated part of the latency curve where plain iteration
-	// oscillates.
-	achieved := func(ips float64) float64 {
+	// memLatCycles prices memory latency at the bandwidth ips·lines·64
+	// implies; machineIPS is the machine-wide rate a core throughput
+	// delivers at this utilization.
+	memLatCycles := func(ips float64) float64 {
 		bw := ips * linesPerInstr * 64 / 1e9
-		latNS = memMod.LatencyNS(bw, prof.Burstiness, uncore)
-		p := cpu.Params{
-			Width:         sku.DispatchWidth,
-			L2LatCycles:   sku.L2LatencyNS * ghz,
-			LLCLatCycles:  sku.LLCLatencyNS * (0.45 + 0.55*uncore) * ghz,
-			MemLatCycles:  latNS * ghz,
-			MispredictPen: 15,
-			DepStallCPI:   prof.DepStallCPI,
-			BEOverlap:     prof.BEOverlap,
-			SMT:           sku.SMT > 1,
-		}
-		res = cpu.Analyze(counts, p)
-		return res.CoreIPS(effMHz) * float64(cfg.Cores) * util
+		return memMod.LatencyNS(bw, prof.Burstiness, uncore) * ghz
 	}
+	machineIPS := func(t cpu.Throughput) float64 {
+		return t.CoreIPS(effMHz) * cores * util
+	}
+	// The IPS the cycle model achieves when priced at a candidate x,
+	// machineIPS(model.Price(memLatCycles(x))), is monotone
+	// non-increasing in x, so its fixed point is unique; bisection is
+	// robust even on the steep saturated part of the latency curve
+	// where plain iteration oscillates. Once a step leaves both lo and
+	// hi unchanged (bit for bit), every later step repeats it, so the
+	// loop stops there with the result all 60 steps would give.
 	lo := 0.0
-	hi := float64(sku.DispatchWidth) * 1.4 * float64(effMHz) * 1e6 * float64(cfg.Cores)
+	hi := float64(sku.DispatchWidth) * 1.4 * float64(effMHz) * 1e6 * cores
 	for i := 0; i < 60; i++ {
 		mid := (lo + hi) / 2
-		if achieved(mid) > mid {
+		if machineIPS(model.Price(memLatCycles(mid))) > mid {
+			if math.Float64bits(mid) == math.Float64bits(lo) {
+				break
+			}
 			lo = mid
 		} else {
+			if math.Float64bits(mid) == math.Float64bits(hi) {
+				break
+			}
 			hi = mid
 		}
 	}
-	totalIPS := achieved((lo + hi) / 2)
+	res := model.Result(memLatCycles((lo + hi) / 2))
+	totalIPS := machineIPS(res.Throughput)
 	bw := totalIPS * linesPerInstr * 64 / 1e9
-	latNS = memMod.LatencyNS(bw, prof.Burstiness, uncore)
+	latNS := memMod.LatencyNS(bw, prof.Burstiness, uncore)
 	watts := sku.PowerWatts(cfg, effMHz, util, memMod.AchievedGBs(bw))
 	return Operating{
 		Util:         util,

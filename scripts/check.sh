@@ -56,6 +56,20 @@ echo "== bench module =="
 go -C bench vet .
 go -C bench test .
 
+echo "== reference fuzz =="
+# Each fast path that replaced a simpler one keeps the old code in a
+# test file as its oracle and must match it bit for bit. go test above
+# only replays the seed corpora; here each target explores for 10 s
+# (no -race). A failing input is written under the package's
+# testdata/fuzz/ and replays in every later go test.
+for target in \
+	FuzzCacheMatchesReference:./internal/cache \
+	FuzzEngineMatchesReference:./internal/prefetch \
+	FuzzAnalyzeMatchesReference:./internal/cpu \
+	FuzzSolveMatchesReference:./internal/sim; do
+	go test -run XXX -fuzz "${target%%:*}" -fuzztime 10s "${target#*:}"
+done
+
 echo "== chaos smoke =="
 out=$(go run ./cmd/musku -service Web -knobs thp -chaos -chaos-seed 7 -guardrail-pct 2 -max-samples 1500 -q)
 if ! echo "$out" | grep -q "soft SKU:"; then
