@@ -36,7 +36,7 @@ func main() {
 		driftRate = flag.Float64("drift-rate", 0.04, "per-pool per-epoch probability of a real workload shift")
 		tuneMax   = flag.Int("tune-samples", 120, "per-arm sample cap for drift-chasing A/B trials")
 		tuneSrch  = flag.String("tune-search", "independent", "re-tune optimizer: independent | hill | halving | cem")
-		tuneTwin  = flag.Bool("tune-twin", false, "arm the analytical-twin fidelity ladder inside re-tunes (prunes predicted-losing arms before any window runs)")
+		tuneTwin  = flag.Bool("tune-twin", false, "arm the analytical-twin fidelity ladder inside re-tunes of any -tune-search, the default independent sweep included (prunes predicted-losing arms before any window runs)")
 		decOut    = flag.String("ledger-out", "", "write the soak's decision ledger as JSONL (replay with skutrace)")
 		jsonOut   = flag.Bool("json", false, "emit the soak report as JSON instead of text")
 		quiet     = flag.Bool("q", false, "suppress per-epoch progress logging")

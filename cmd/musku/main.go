@@ -228,7 +228,8 @@ type jsonResult struct {
 	VsProductionPct float64 `json:"vs_production_pct"`
 	VsStockPct      float64 `json:"vs_stock_pct"`
 	// SearchGainPct is the optimizer's own gain estimate (see
-	// core.Result.ExhaustiveBest); absent for the independent sweep.
+	// core.Result.ExhaustiveBest); absent for the independent sweep,
+	// whose per-knob deltas make no estimate for the composition.
 	SearchGainPct float64    `json:"search_gain_pct,omitempty"`
 	Significant   bool       `json:"significant"`
 	Reboots       int        `json:"reboots"`

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"testing"
 
@@ -41,16 +42,28 @@ func ledgerAt(t *testing.T, par int, withChaos bool) []byte {
 	return b.Bytes()
 }
 
+// Golden SHA-256 digests of the independent sweep's ledgers, recorded
+// on the hand-written sweep loop before the sweep moved behind the
+// Searcher driver: the digests are the oracle that the move changed no
+// decision, label, or event order. A deliberate change to what the
+// sweep records must update them and say why.
+const (
+	goldenLedgerPlain = "95517a7374cc78f16873012762603603b060faaf9823f242306e483d5ba62284"
+	goldenLedgerChaos = "09f677d5d183e64b4d1f54f27101acba2db40db0735a9f4dbda33dd85e3b788d"
+)
+
+func ledgerDigest(b []byte) string { return fmt.Sprintf("%x", sha256.Sum256(b)) }
+
 // TestLedgerBitIdentical is the flight recorder's acceptance test:
 // the ledger two runs of the same core.Input and seed write must be
 // byte-identical at -parallel 1 and -parallel 8, with and without a
 // chaos engine attached — recording must ride the deterministic merge
-// phase, never the scheduler.
+// phase, never the scheduler — and must match the pinned digest.
 func TestLedgerBitIdentical(t *testing.T) {
 	for _, withChaos := range []bool{false, true} {
-		name := "plain"
+		name, golden := "plain", goldenLedgerPlain
 		if withChaos {
-			name = "chaos"
+			name, golden = "chaos", goldenLedgerChaos
 		}
 		t.Run(name, func(t *testing.T) {
 			serial := ledgerAt(t, 1, withChaos)
@@ -61,6 +74,9 @@ func TestLedgerBitIdentical(t *testing.T) {
 			}
 			if len(serial) == 0 {
 				t.Fatal("run recorded an empty ledger")
+			}
+			if got := ledgerDigest(serial); got != golden {
+				t.Fatalf("ledger digest %s, want %s", got, golden)
 			}
 		})
 	}

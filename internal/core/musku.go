@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"softsku/internal/abtest"
 	"softsku/internal/chaos"
@@ -86,12 +85,14 @@ type Result struct {
 
 	Reboots      int     // server reboots the sweep required
 	VirtualHours float64 // virtual measurement time consumed
-	// ExhaustiveBest is the search's own estimate of the winner's gain
-	// over the baseline, in percent: the best single measurement for
-	// exhaustive/halving/cem, the accepted moves compounded
-	// multiplicatively for hillclimb (each round measures against the
-	// previous winner, so per-round deltas chain as factors — +2% on
-	// +2% is +4.04%, not +4%). Zero for the independent sweep.
+	// ExhaustiveBest is the searcher's own estimate of the winner's
+	// gain over the baseline, in percent (Searcher.Best): the best
+	// single measurement for exhaustive/halving/cem, the accepted moves
+	// compounded multiplicatively for hillclimb (each round measures
+	// against the previous winner, so per-round deltas chain as factors
+	// — +2% on +2% is +4.04%, not +4%). Zero for the independent sweep:
+	// its knobs were each measured alone, so their deltas make no
+	// estimate for the composition.
 	ExhaustiveBest float64
 
 	// Degradation record when running under fault injection: candidate
@@ -333,25 +334,30 @@ func (t *Tool) Run() (*Result, error) {
 		}
 		t.logf("twin: calibrated for %s on %s (metric %s)", t.prof.Name, t.sku.Name, t.in.Metric)
 	}
-	var composed knob.Config
+	var s Searcher
 	var err error
 	switch t.in.Sweep {
 	case SweepIndependent:
-		composed, err = t.independentSweep(res)
+		s = newIndependentSearcher(t, res)
 	case SweepExhaustive:
-		composed, err = t.exhaustiveSweep(res)
+		s, err = newExhaustiveSearcher(t)
 	case SweepHillClimb:
-		composed, err = t.runSearch(res, newHillSearcher(t))
+		s = newHillSearcher(t)
 	case SweepHalving:
-		composed, err = t.runSearch(res, newHalvingSearcher(t))
+		s = newHalvingSearcher(t)
 	case SweepCEM:
-		composed, err = t.runSearch(res, newCEMSearcher(t))
+		s = newCEMSearcher(t)
 	default:
-		return nil, fmt.Errorf("core: unknown sweep mode %v", t.in.Sweep)
+		err = fmt.Errorf("core: unknown sweep mode %v", t.in.Sweep)
 	}
 	if err != nil {
 		return nil, err
 	}
+	if err := t.runSearch(s); err != nil {
+		return nil, err
+	}
+	composed, gain := s.Best()
+	res.ExhaustiveBest = gain
 	if err := t.sku.Validate(composed); err != nil {
 		return nil, fmt.Errorf("core: composed soft SKU invalid: %w", err)
 	}
@@ -434,211 +440,6 @@ func (t *Tool) Run() (*Result, error) {
 	return res, nil
 }
 
-// independentSweep scales each knob one-by-one (§4): for every
-// candidate setting it A/B-tests baseline-with-that-setting against
-// the baseline, then the soft-SKU generator composes the most
-// performant significant winner of each knob.
-//
-// Execution follows the three-phase parallel runtime (trial.go): the
-// whole run's candidate trials are specified serially in design-space
-// order, sharded across the worker pool, and merged back in that same
-// order — so winner selection, logging, and clock accounting are
-// bit-identical to a serial sweep.
-func (t *Tool) independentSweep(res *Result) (knob.Config, error) {
-	composed := t.baseline
-	parent := t.span
-	type entry struct {
-		setting knob.Setting
-		trial   int // index into specs; -1 for the baseline point
-	}
-	type plan struct {
-		id      knob.ID
-		ks      *telemetry.Span
-		entries []entry
-	}
-	var specs []trialSpec
-	var plans []plan
-	for _, id := range t.space.Knobs() {
-		mKnobsSwept.Inc()
-		ks := parent.StartChild("sweep."+id.String(), "sweep")
-		ks.Set("knob", id.String())
-		ks.Set("baseline", t.baseline.Get(id).Name)
-		ks.Set("settings", len(t.space.Values[id]))
-		p := plan{id: id, ks: ks}
-		for si, setting := range t.space.Values[id] {
-			if setting == t.baseline.Get(id) {
-				p.entries = append(p.entries, entry{setting: setting, trial: -1})
-				continue
-			}
-			cfg := t.baseline.With(id, setting)
-			if err := t.sku.Validate(cfg); err != nil {
-				mConfigsPruned.Inc()
-				continue // unrealizable point; µSKU skips it
-			}
-			mConfigsValidated.Inc()
-			if id.RequiresReboot() {
-				t.reboots++
-			}
-			specs = append(specs,
-				t.newSpec(ks, fmt.Sprintf("sweep/%s/%d", id, si), t.baseline, cfg))
-			p.entries = append(p.entries, entry{setting: setting, trial: len(specs) - 1})
-		}
-		plans = append(plans, p)
-	}
-	results := t.runTrials(specs)
-	for pi, p := range plans {
-		sweep := KnobSweep{Knob: p.id, Baseline: t.baseline.Get(p.id)}
-		t.logf("sweeping %s (%d settings)", p.id, len(t.space.Values[p.id]))
-		sweepSeq := -1
-		if t.rec != nil {
-			sweepSeq = t.rec.Record(t.decRoot,
-				decision.SweepStarted("sweep/"+p.id.String(), p.id.String(), t.baseline.Get(p.id).Name))
-		}
-		var ptSeq []int // ledger seq per point (-1: baseline, unrecorded)
-		bestIdx, bestDelta := -1, 0.0
-		for _, en := range p.entries {
-			if en.trial < 0 {
-				sweep.Points = append(sweep.Points, Point{Setting: en.setting, IsBaseline: true})
-				ptSeq = append(ptSeq, -1)
-				continue
-			}
-			out, err := t.mergeTrial(specs[en.trial], results[en.trial])
-			if err != nil {
-				if t.skipFault(err, en.setting.Name) {
-					t.recordSkip(sweepSeq, specs[en.trial], en.setting.Name, err)
-					continue // degrade: drop the setting, not the sweep
-				}
-				for _, rest := range plans[pi:] {
-					rest.ks.End()
-				}
-				return composed, err
-			}
-			sweep.Points = append(sweep.Points, Point{Setting: en.setting, Outcome: out})
-			ptSeq = append(ptSeq, t.recordTrial(sweepSeq, specs[en.trial], results[en.trial], p.id.String(), en.setting.Name))
-			t.logf("  %-12s %s", en.setting.Name, out)
-			if out.Better() && out.DeltaPct > bestDelta {
-				bestDelta = out.DeltaPct
-				bestIdx = len(sweep.Points) - 1
-			}
-		}
-		if t.rec != nil {
-			for i := range sweep.Points {
-				if sweep.Points[i].IsBaseline || ptSeq[i] < 0 {
-					continue
-				}
-				if i == bestIdx {
-					t.rec.Record(ptSeq[i], decision.ArmAccepted(p.id.String(), sweep.Points[i].Setting.Name, bestDelta))
-				} else {
-					o := sweep.Points[i].Outcome
-					t.rec.Record(ptSeq[i], decision.ArmRejected(p.id.String(), sweep.Points[i].Setting.Name,
-						o.DeltaPct, o.PValue, o.Significant))
-				}
-			}
-			if bestIdx < 0 {
-				t.rec.Record(sweepSeq, decision.BaselineKept(p.id.String(), sweep.Baseline.Name))
-			}
-		}
-		if bestIdx >= 0 {
-			sweep.Points[bestIdx].Chosen = true
-			composed = composed.With(p.id, sweep.Points[bestIdx].Setting)
-			t.logf("  -> chose %s (%+.2f%%)", sweep.Points[bestIdx].Setting.Name, bestDelta)
-			p.ks.Set("chosen", sweep.Points[bestIdx].Setting.Name)
-			p.ks.Set("delta_pct", bestDelta)
-		} else {
-			t.logf("  -> keeping production %s", sweep.Baseline.Name)
-			p.ks.Set("chosen", sweep.Baseline.Name+" (kept)")
-		}
-		p.ks.End()
-		res.Map = append(res.Map, sweep)
-	}
-	return composed, nil
-}
-
-// exhaustiveSweep explores the cross-product (§4). It refuses design
-// spaces too large to finish between code pushes, as the paper notes
-// exhaustive search is impractical for the full seven-knob space.
-// Candidate points are enumerated serially, trialed in parallel, and
-// scored in enumeration order.
-func (t *Tool) exhaustiveSweep(res *Result) (knob.Config, error) {
-	const maxPoints = 512
-	if n := t.space.Size(); n > maxPoints {
-		return t.baseline, fmt.Errorf(
-			"core: exhaustive sweep over %d points cannot finish between code pushes; restrict 'knobs' (limit %d)",
-			n, maxPoints)
-	}
-	var specs []trialSpec
-	enum := 0
-	t.space.Enumerate(t.baseline, func(cfg knob.Config) bool {
-		enum++
-		if cfg == t.baseline {
-			return true
-		}
-		if err := t.sku.Validate(cfg); err != nil {
-			mConfigsPruned.Inc()
-			return true
-		}
-		mConfigsValidated.Inc()
-		for _, id := range knob.Diff(t.baseline, cfg) {
-			if id.RequiresReboot() {
-				t.reboots++
-				break
-			}
-		}
-		specs = append(specs,
-			t.newSpec(t.span, fmt.Sprintf("exhaustive/%d", enum-1), t.baseline, cfg))
-		return true
-	})
-	type scored struct {
-		cfg   knob.Config
-		delta float64
-	}
-	best := scored{cfg: t.baseline}
-	sweepSeq := -1
-	if t.rec != nil {
-		sweepSeq = t.rec.Record(t.decRoot, decision.SweepStarted("exhaustive", "", t.baseline.String()))
-	}
-	bestSpec := -1
-	seqs := make([]int, len(specs))
-	outs := make([]abtest.Outcome, len(specs))
-	recorded := make([]bool, len(specs))
-	results := t.runTrials(specs)
-	for i, spec := range specs {
-		out, err := t.mergeTrial(spec, results[i])
-		if err != nil {
-			if t.skipFault(err, spec.treatment.String()) {
-				t.recordSkip(sweepSeq, spec, spec.treatment.String(), err)
-				continue
-			}
-			return t.baseline, err
-		}
-		seqs[i] = t.recordTrial(sweepSeq, spec, results[i], "", spec.treatment.String())
-		outs[i], recorded[i] = out, true
-		if out.Better() && out.DeltaPct > best.delta {
-			best = scored{cfg: spec.treatment, delta: out.DeltaPct}
-			bestSpec = i
-		}
-	}
-	if t.rec != nil {
-		for i := range specs {
-			if !recorded[i] {
-				continue
-			}
-			if i == bestSpec {
-				t.rec.Record(seqs[i], decision.ArmAccepted("", specs[i].treatment.String(), best.delta))
-			} else {
-				t.rec.Record(seqs[i], decision.ArmRejected("", specs[i].treatment.String(),
-					outs[i].DeltaPct, outs[i].PValue, outs[i].Significant))
-			}
-		}
-		if bestSpec < 0 {
-			t.rec.Record(sweepSeq, decision.BaselineKept("", t.baseline.String()))
-		}
-	}
-	res.ExhaustiveBest = best.delta
-	t.logf("exhaustive best: %s (%+.2f%%)", best.cfg, best.delta)
-	return best.cfg, nil
-}
-
 // FormatMap renders the design-space map as an aligned table.
 func FormatMap(res *Result) string {
 	var rows [][]string
@@ -655,7 +456,6 @@ func FormatMap(res *Result) string {
 			rows = append(rows, []string{sweep.Knob.String(), p.Setting.Name, outcome, mark})
 		}
 	}
-	sort.SliceStable(rows, func(i, j int) bool { return false }) // keep sweep order
 	return formatTable([]string{"knob", "setting", "outcome", ""}, rows)
 }
 

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
+	"softsku/internal/decision"
 	"softsku/internal/knob"
 	"softsku/internal/platform"
 	"softsku/internal/workload"
@@ -162,6 +164,11 @@ func TestSweepKeepsProductionFrequency(t *testing.T) {
 	}
 }
 
+// goldenExhaustiveLedger is the SHA-256 of TestExhaustiveSweepSmallSpace's
+// ledger, recorded on the hand-written exhaustive loop before it moved
+// behind the Searcher driver (see goldenLedgerPlain).
+const goldenExhaustiveLedger = "6f9b1917221b90427993a541264911ffaeab68e8288072255f207eaed6714b80"
+
 func TestExhaustiveSweepSmallSpace(t *testing.T) {
 	in := fastInput("Web", "Skylake18", knob.THP)
 	in.Sweep = SweepExhaustive
@@ -169,12 +176,21 @@ func TestExhaustiveSweepSmallSpace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	led := decision.NewLedger()
+	tool.SetRecorder(led)
 	res, err := tool.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.SoftSKU.THP != knob.THPAlways {
 		t.Fatalf("exhaustive sweep should find THP always, got %v", res.SoftSKU.THP)
+	}
+	var b bytes.Buffer
+	if err := led.WriteJSONL(&b); err != nil {
+		t.Fatal(err)
+	}
+	if got := ledgerDigest(b.Bytes()); got != goldenExhaustiveLedger {
+		t.Fatalf("exhaustive ledger digest %s, want %s", got, goldenExhaustiveLedger)
 	}
 }
 

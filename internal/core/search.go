@@ -24,13 +24,7 @@ type hillSearcher struct {
 	// measured against the previous round's winner, so they chain as
 	// factors, never as a sum.
 	compound float64
-	arms     []hillArm // last proposed round's moves, indexed like Arms
-}
-
-type hillArm struct {
-	cfg  knob.Config
-	id   knob.ID
-	name string
+	arms     []SearchArm // last proposed round's moves
 }
 
 // hillMaxRounds bounds the climb: each round moves one knob one step,
@@ -60,12 +54,7 @@ func (h *hillSearcher) Propose(round int) *SearchRound {
 	if h.converged || round >= h.maxRounds {
 		return nil
 	}
-	rd := &SearchRound{
-		Span:    fmt.Sprintf("sweep.round%d", round),
-		Label:   fmt.Sprintf("hill/%d", round),
-		Control: h.current,
-	}
-	h.arms = h.arms[:0]
+	g := SearchGroup{Span: fmt.Sprintf("sweep.round%d", round), Label: fmt.Sprintf("hill/%d", round)}
 	for _, id := range h.t.space.Knobs() {
 		values := h.t.space.Values[id]
 		cur := indexOfSetting(values, h.current.Get(id))
@@ -73,23 +62,23 @@ func (h *hillSearcher) Propose(round int) *SearchRound {
 			if ni < 0 || ni >= len(values) {
 				continue
 			}
-			rd.Arms = append(rd.Arms, SearchArm{
+			g.Arms = append(g.Arms, SearchArm{
 				Label:   fmt.Sprintf("hill/%d/%s/%d", round, id, ni),
 				Config:  h.current.With(id, values[ni]),
 				Knob:    id.String(),
 				Setting: values[ni].Name,
 			})
-			h.arms = append(h.arms, hillArm{cfg: h.current.With(id, values[ni]), id: id, name: values[ni].Name})
 		}
 	}
-	return rd
+	h.arms = g.Arms
+	return &SearchRound{Control: h.current, Groups: []SearchGroup{g}}
 }
 
 // Observe picks the best significantly-improving neighbour, or
 // converges when none wins. The winning move is selected in arm order
 // — ties keep the earlier arm — so rounds chain identically to a
 // serial climb.
-func (h *hillSearcher) Observe(round int, outs []ArmOutcome) RoundVerdict {
+func (h *hillSearcher) Observe(round, _ int, outs []ArmOutcome) Verdict {
 	best := -1
 	for i, o := range outs {
 		if !o.Measured() {
@@ -99,7 +88,7 @@ func (h *hillSearcher) Observe(round int, outs []ArmOutcome) RoundVerdict {
 			best = i
 		}
 	}
-	var v RoundVerdict
+	var v Verdict
 	if best < 0 {
 		h.converged = true
 		v.Attrs = []SpanAttr{{Key: "converged", Value: true}}
@@ -112,11 +101,11 @@ func (h *hillSearcher) Observe(round int, outs []ArmOutcome) RoundVerdict {
 	v.Accepted = make([]bool, len(outs))
 	v.Accepted[best] = true
 	v.Attrs = []SpanAttr{
-		{Key: "move", Value: fmt.Sprintf("%s -> %s", arm.id, arm.name)},
+		{Key: "move", Value: fmt.Sprintf("%s -> %s", arm.Knob, arm.Setting)},
 		{Key: "delta_pct", Value: delta},
 	}
-	v.Logs = []string{fmt.Sprintf("hill climb round %d: %s -> %s (%+.2f%%)", round, arm.id, arm.name, delta)}
-	h.current = arm.cfg
+	v.Logs = []string{fmt.Sprintf("hill climb round %d: %s -> %s (%+.2f%%)", round, arm.Knob, arm.Setting, delta)}
+	h.current = arm.Config
 	h.compound *= 1 + delta/100
 	return v
 }

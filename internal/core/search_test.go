@@ -87,15 +87,15 @@ func TestHillClimbCompoundsGains(t *testing.T) {
 	h := newHillSearcher(tool)
 	for round := 0; round < 2; round++ {
 		rd := h.Propose(round)
-		if rd == nil || len(rd.Arms) == 0 {
+		if rd == nil || len(rd.Groups) != 1 || len(rd.Groups[0].Arms) == 0 {
 			t.Fatalf("round %d proposed no arms", round)
 		}
-		outs := make([]ArmOutcome, len(rd.Arms))
+		outs := make([]ArmOutcome, len(rd.Groups[0].Arms))
 		outs[0] = sigOutcome(10) // the first neighbour wins +10%
 		for i := 1; i < len(outs); i++ {
 			outs[i] = ArmOutcome{Outcome: abtest.Outcome{DeltaPct: -1}}
 		}
-		h.Observe(round, outs)
+		h.Observe(round, 0, outs)
 	}
 	if _, gain := h.Best(); math.Abs(gain-21.0) > 1e-9 {
 		t.Fatalf("two +10%% moves must compound to +21%%, got %+.6f%%", gain)
@@ -163,8 +163,7 @@ func TestSearchBudgetExhaustedEvent(t *testing.T) {
 	tool.SetLogger(&logs)
 	h := newHillSearcher(tool)
 	h.maxRounds = 1 // Web improves on round 0, so the climb cannot converge in 1
-	var res Result
-	if _, err := tool.runSearch(&res, h); err != nil {
+	if err := tool.runSearch(h); err != nil {
 		t.Fatal(err)
 	}
 	if h.Done() {

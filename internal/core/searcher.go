@@ -4,14 +4,15 @@ import (
 	"softsku/internal/abtest"
 	"softsku/internal/decision"
 	"softsku/internal/knob"
+	"softsku/internal/telemetry"
 )
 
-// The pluggable search layer (ROADMAP item 3). A Searcher is a
-// cross-knob optimizer that decides *which* configurations to measure;
-// runSearch is the one driver that decides *how* — it owns the
-// three-phase trial runtime (trial.go), SKU validation, reboot
-// accounting, span lifecycle, and every ledger append, so all
-// searchers inherit the determinism contract for free:
+// The pluggable search layer. A Searcher decides *which*
+// configurations to measure; runSearch is the one driver that decides
+// *how* — it owns the three-phase trial runtime (trial.go), SKU
+// validation, the twin ladder, reboot accounting, span lifecycle, and
+// every ledger append, so all searchers inherit the determinism
+// contract for free:
 //
 //   - Propose runs on the serial phase, so any randomness a searcher
 //     draws must come from rng streams derived from (run seed, search
@@ -23,9 +24,10 @@ import (
 //     driver replays them into spans, logs, and the ledger in one
 //     fixed order.
 //
-// hillSearcher (search.go), halvingSearcher (searcher_halving.go), and
-// cemSearcher (searcher_cem.go) are the three implementations, wired
-// through SweepMode / `musku -search`.
+// Every sweep mode is a Searcher: the one-round independent and
+// exhaustive sweeps (searcher_sweep.go), hillSearcher (search.go),
+// halvingSearcher (searcher_halving.go), and cemSearcher
+// (searcher_cem.go). Tool.Run picks one from SweepMode.
 
 // SearchArm is one candidate configuration a searcher wants measured
 // against the round's control.
@@ -41,13 +43,27 @@ type SearchArm struct {
 	Setting string
 }
 
-// SearchRound is one Propose result: a batch of arms that may run
+// SearchGroup is one ledger group and telemetry span within a round:
+// a sweep_started event whose children are the group's trials, and the
+// span those trials nest under. Hill, halving and CEM propose one group
+// per round; the independent sweep proposes one per knob, so its
+// knobs' trials still run as one batch while decision.Replay reads one
+// winner per knob.
+type SearchGroup struct {
+	Span  string // telemetry span name, e.g. "sweep.round3"
+	Label string // ledger group label, e.g. "hill/3"
+	// Knob and Baseline fill sweep_started's knob and baseline fields;
+	// an empty Baseline records the round's control configuration.
+	Knob     string
+	Baseline string
+	Arms     []SearchArm
+}
+
+// SearchRound is one Propose result: groups of arms that may all run
 // concurrently because no arm's spec depends on another's outcome.
 type SearchRound struct {
-	Span    string      // telemetry span name, e.g. "sweep.round3"
-	Label   string      // ledger group label, e.g. "hill/3"
 	Control knob.Config // configuration every arm is measured against
-	Arms    []SearchArm
+	Groups  []SearchGroup
 	// AB overrides the run's A/B budget for this round's trials —
 	// successive halving shortens early rungs with it. nil keeps the
 	// run's configuration.
@@ -76,15 +92,17 @@ type SpanAttr struct {
 	Value interface{}
 }
 
-// RoundVerdict is everything a searcher decided about a round,
-// returned as data so the driver can replay it deterministically.
-type RoundVerdict struct {
-	// Accepted marks the arms kept by this round (hill's winning move,
-	// halving's surviving half, CEM's elite fraction); every other
-	// measured arm is recorded as rejected. nil rejects all.
+// Verdict is everything a searcher decided about one group of a
+// round, returned as data so the driver can replay it
+// deterministically.
+type Verdict struct {
+	// Accepted marks the arms kept by this group (hill's winning move,
+	// halving's surviving half, CEM's elite fraction, a knob's winning
+	// setting); every other measured arm is recorded as rejected. nil
+	// rejects all.
 	Accepted []bool
-	Attrs    []SpanAttr       // round-span annotations, in order
-	Events   []decision.Event // extra ledger events under the round group
+	Attrs    []SpanAttr       // group-span annotations, in order
+	Events   []decision.Event // extra ledger events under the group
 	Logs     []string         // progress lines, emitted after the span ends
 }
 
@@ -97,10 +115,11 @@ type Searcher interface {
 	// Propose returns round r's arms, or nil when the searcher has no
 	// more rounds to spend (converged, or out of budget).
 	Propose(round int) *SearchRound
-	// Observe receives the round's outcomes, indexed like Arms, and
-	// returns the searcher's verdicts. Called once per proposed round,
-	// on the serial merge phase.
-	Observe(round int, outs []ArmOutcome) RoundVerdict
+	// Observe receives one group's outcomes, indexed like the group's
+	// Arms, and returns the searcher's verdicts. Called once per group
+	// of every proposed round, in group order, on the serial merge
+	// phase.
+	Observe(round, group int, outs []ArmOutcome) Verdict
 	// Done reports convergence. A nil Propose with Done()==false means
 	// the round budget ran out first — the driver records a terminal
 	// budget_exhausted event so the ledger never just truncates.
@@ -112,13 +131,12 @@ type Searcher interface {
 }
 
 // runSearch drives one Searcher to completion over the parallel trial
-// runtime. Per round: build specs serially in arm order (validate,
-// count reboots, split chaos streams), fan the trials out, merge in
-// arm order, hand the outcomes to Observe, and replay its verdict into
-// the span, ledger, and log — the exact event order the inline hill
-// climber produced before it was extracted behind this interface.
-func (t *Tool) runSearch(res *Result, s Searcher) (knob.Config, error) {
-	parent := t.span
+// runtime. Per round: build every group's specs serially in arm order
+// (buildRound), run the whole round as one trial batch, then settle the
+// groups in order — open the ledger group, merge and record its trials
+// in arm order, hand the outcomes to Observe, and replay the verdict
+// into the span, ledger, and log.
+func (t *Tool) runSearch(s Searcher) error {
 	rounds := 0
 	for round := 0; ; round++ {
 		rd := s.Propose(round)
@@ -126,32 +144,137 @@ func (t *Tool) runSearch(res *Result, s Searcher) (knob.Config, error) {
 			break
 		}
 		rounds++
-		rs := parent.StartChild(rd.Span, "sweep")
-		specs := make([]trialSpec, 0, len(rd.Arms))
-		specIdx := make([]int, len(rd.Arms)) // arm -> spec index; -1 pruned
-		outs := make([]ArmOutcome, len(rd.Arms))
-		save := t.in.AB
-		if rd.AB != nil {
-			t.in.AB = *rd.AB
+		groups, specs := t.buildRound(rd)
+		results := t.runTrials(specs)
+		for g, grp := range rd.Groups {
+			gr := &groups[g]
+			groupSeq := -1
+			if t.rec != nil {
+				from := grp.Baseline
+				if from == "" {
+					from = rd.Control.String()
+				}
+				groupSeq = t.rec.Record(t.decRoot, decision.SweepStarted(grp.Label, grp.Knob, from))
+				for _, e := range gr.twinEvents {
+					t.rec.Record(groupSeq, e)
+				}
+			}
+			seqs := make([]int, len(grp.Arms))
+			for i, arm := range grp.Arms {
+				si := gr.specIdx[i]
+				if si < 0 {
+					continue
+				}
+				out, err := t.mergeTrial(specs[si], results[si])
+				if err != nil {
+					if t.skipFault(err, arm.Setting) {
+						t.recordSkip(groupSeq, specs[si], arm.Setting, err)
+						gr.outs[i].Skipped = true
+						continue
+					}
+					for _, rest := range groups[g:] {
+						rest.span.End()
+					}
+					return err
+				}
+				seqs[i] = t.recordTrial(groupSeq, specs[si], results[si], arm.Knob, arm.Setting)
+				gr.outs[i].Outcome = out
+			}
+			if t.eval != nil {
+				// Every window the group measured doubles as a cross-check
+				// sample: the twin predicted these configurations
+				// microseconds ago, the simulator just told the truth.
+				t.eval.CrossCheck(rd.Control)
+				for i, arm := range grp.Arms {
+					if gr.outs[i].Measured() {
+						t.eval.CrossCheck(arm.Config)
+					}
+				}
+			}
+			v := s.Observe(round, g, gr.outs)
+			if t.rec != nil {
+				for i, arm := range grp.Arms {
+					switch o := gr.outs[i].Outcome; {
+					case !gr.outs[i].Measured():
+					case i < len(v.Accepted) && v.Accepted[i]:
+						t.rec.Record(seqs[i], decision.ArmAccepted(arm.Knob, arm.Setting, o.DeltaPct))
+					default:
+						t.rec.Record(seqs[i], decision.ArmRejected(arm.Knob, arm.Setting,
+							o.DeltaPct, o.PValue, o.Significant))
+					}
+				}
+			}
+			for _, a := range v.Attrs {
+				gr.span.Set(a.Key, a.Value)
+			}
+			gr.span.End()
+			if t.rec != nil {
+				for _, e := range v.Events {
+					t.rec.Record(groupSeq, e)
+				}
+			}
+			for _, line := range v.Logs {
+				t.logf("%s", line)
+			}
 		}
-		// Tiered-fidelity ladder (DESIGN.md §16): score the round's
-		// control once, then let predictions veto arms before a spec —
-		// and hence a window — exists for them. All on the serial phase,
-		// so the prune set is fixed by the round structure, never by
-		// worker scheduling.
-		var ctrlScore float64
-		var ctrlRung string
-		ctrlOK := false
-		if t.eval != nil {
-			ctrlScore, ctrlRung, ctrlOK = t.eval.Score(rd.Control)
-			ctrlOK = ctrlOK && ctrlScore > 0
+		if s.Done() {
+			break
 		}
-		var pruneEvents []decision.Event
-		for i, arm := range rd.Arms {
-			specIdx[i] = -1
+	}
+	if !s.Done() {
+		// The round budget ran out before the searcher's own stopping
+		// rule fired. Without a terminal event the ledger would just
+		// truncate — indistinguishable from a crash in `skutrace tree`.
+		best, _ := s.Best()
+		if t.rec != nil {
+			t.rec.Record(t.decRoot, decision.BudgetExhausted(s.Name(), rounds, best.String()))
+		}
+		t.logf("%s: round budget exhausted after %d rounds (best so far %s)", s.Name(), rounds, best)
+	}
+	return nil
+}
+
+// groupRun carries one group from buildRound to its settlement.
+type groupRun struct {
+	span       *telemetry.Span
+	specIdx    []int // arm -> spec index; -1 when the arm never runs
+	outs       []ArmOutcome
+	twinEvents []decision.Event // twin_pruned events, recorded under the group
+}
+
+// buildRound is a round's serial spec phase: every group's arms, in
+// order, are validated, offered to the twin ladder, charged their
+// reboots, and turned into trial specs under the group's span.
+func (t *Tool) buildRound(rd *SearchRound) ([]groupRun, []trialSpec) {
+	save := t.in.AB
+	if rd.AB != nil {
+		t.in.AB = *rd.AB
+	}
+	defer func() { t.in.AB = save }()
+	// Tiered-fidelity ladder (DESIGN.md §16): score the round's
+	// control once, then let predictions veto arms before a spec —
+	// and hence a window — exists for them. All on the serial phase,
+	// so the prune set is fixed by the round structure, never by
+	// worker scheduling.
+	var ctrlScore float64
+	var ctrlRung string
+	ctrlOK := false
+	if t.eval != nil {
+		ctrlScore, ctrlRung, ctrlOK = t.eval.Score(rd.Control)
+		ctrlOK = ctrlOK && ctrlScore > 0
+	}
+	groups := make([]groupRun, len(rd.Groups))
+	var specs []trialSpec
+	for g, grp := range rd.Groups {
+		gr := &groups[g]
+		gr.span = t.span.StartChild(grp.Span, "sweep")
+		gr.specIdx = make([]int, len(grp.Arms))
+		gr.outs = make([]ArmOutcome, len(grp.Arms))
+		for i, arm := range grp.Arms {
+			gr.specIdx[i] = -1
 			if err := t.sku.Validate(arm.Config); err != nil {
 				mConfigsPruned.Inc()
-				outs[i].Pruned = true
+				gr.outs[i].Pruned = true
 				continue
 			}
 			if ctrlOK {
@@ -163,8 +286,8 @@ func (t *Tool) runSearch(res *Result, s Searcher) (knob.Config, error) {
 					delta := (armScore - ctrlScore) / ctrlScore * 100
 					if delta < -margin {
 						mConfigsTwinPruned.Inc()
-						outs[i].TwinPruned = true
-						pruneEvents = append(pruneEvents, decision.TwinPruned(
+						gr.outs[i].TwinPruned = true
+						gr.twinEvents = append(gr.twinEvents, decision.TwinPruned(
 							arm.Knob, arm.Setting, arm.Label, delta, margin, rung,
 							ctrlScore, armScore, t.in.Metric.String()))
 						continue
@@ -178,93 +301,9 @@ func (t *Tool) runSearch(res *Result, s Searcher) (knob.Config, error) {
 					break
 				}
 			}
-			specs = append(specs, t.newSpec(rs, arm.Label, rd.Control, arm.Config))
-			specIdx[i] = len(specs) - 1
-		}
-		t.in.AB = save
-		roundSeq := -1
-		if t.rec != nil {
-			roundSeq = t.rec.Record(t.decRoot,
-				decision.SweepStarted(rd.Label, "", rd.Control.String()))
-			for _, e := range pruneEvents {
-				t.rec.Record(roundSeq, e)
-			}
-		}
-		results := t.runTrials(specs)
-		seqs := make([]int, len(rd.Arms))
-		recorded := make([]bool, len(rd.Arms))
-		for i, arm := range rd.Arms {
-			si := specIdx[i]
-			if si < 0 {
-				continue
-			}
-			out, err := t.mergeTrial(specs[si], results[si])
-			if err != nil {
-				if t.skipFault(err, arm.Setting) {
-					t.recordSkip(roundSeq, specs[si], arm.Setting, err)
-					outs[i].Skipped = true
-					continue
-				}
-				rs.End()
-				best, _ := s.Best()
-				return best, err
-			}
-			seqs[i] = t.recordTrial(roundSeq, specs[si], results[si], arm.Knob, arm.Setting)
-			outs[i].Outcome = out
-			recorded[i] = true
-		}
-		if t.eval != nil {
-			// Every window the round measured doubles as a cross-check
-			// sample: the twin predicted these configurations microseconds
-			// ago, the simulator just told the truth.
-			t.eval.CrossCheck(rd.Control)
-			for i, arm := range rd.Arms {
-				if recorded[i] {
-					t.eval.CrossCheck(arm.Config)
-				}
-			}
-		}
-		v := s.Observe(round, outs)
-		if t.rec != nil {
-			for i, arm := range rd.Arms {
-				if !recorded[i] {
-					continue
-				}
-				if i < len(v.Accepted) && v.Accepted[i] {
-					t.rec.Record(seqs[i], decision.ArmAccepted(arm.Knob, arm.Setting, outs[i].Outcome.DeltaPct))
-				} else {
-					o := outs[i].Outcome
-					t.rec.Record(seqs[i], decision.ArmRejected(arm.Knob, arm.Setting,
-						o.DeltaPct, o.PValue, o.Significant))
-				}
-			}
-		}
-		for _, a := range v.Attrs {
-			rs.Set(a.Key, a.Value)
-		}
-		rs.End()
-		if t.rec != nil {
-			for _, e := range v.Events {
-				t.rec.Record(roundSeq, e)
-			}
-		}
-		for _, line := range v.Logs {
-			t.logf("%s", line)
-		}
-		if s.Done() {
-			break
+			specs = append(specs, t.newSpec(gr.span, arm.Label, rd.Control, arm.Config))
+			gr.specIdx[i] = len(specs) - 1
 		}
 	}
-	best, gain := s.Best()
-	res.ExhaustiveBest = gain
-	if !s.Done() {
-		// The round budget ran out before the searcher's own stopping
-		// rule fired. Without a terminal event the ledger would just
-		// truncate — indistinguishable from a crash in `skutrace tree`.
-		if t.rec != nil {
-			t.rec.Record(t.decRoot, decision.BudgetExhausted(s.Name(), rounds, best.String()))
-		}
-		t.logf("%s: round budget exhausted after %d rounds (best so far %s)", s.Name(), rounds, best)
-	}
-	return best, nil
+	return groups, specs
 }

@@ -164,22 +164,18 @@ func (c *cemSearcher) Propose(round int) *SearchRound {
 		c.done = true
 		return nil
 	}
-	rd := &SearchRound{
-		Span:    fmt.Sprintf("search.gen%d", round),
-		Label:   fmt.Sprintf("cem/gen%d", round),
-		Control: c.t.baseline,
-	}
+	g := SearchGroup{Span: fmt.Sprintf("search.gen%d", round), Label: fmt.Sprintf("cem/gen%d", round)}
 	for i, cfg := range c.arms {
-		rd.Arms = append(rd.Arms, SearchArm{
+		g.Arms = append(g.Arms, SearchArm{
 			Label:   fmt.Sprintf("cem/%d/%d", round, i),
 			Config:  cfg,
 			Setting: fmt.Sprintf("arm%d", i),
 		})
 	}
-	return rd
+	return &SearchRound{Control: c.t.baseline, Groups: []SearchGroup{g}}
 }
 
-func (c *cemSearcher) Observe(round int, outs []ArmOutcome) RoundVerdict {
+func (c *cemSearcher) Observe(round, _ int, outs []ArmOutcome) Verdict {
 	type scored struct {
 		pos   int
 		delta float64
@@ -193,7 +189,7 @@ func (c *cemSearcher) Observe(round int, outs []ArmOutcome) RoundVerdict {
 	}
 	sort.SliceStable(ranked, func(i, j int) bool { return ranked[i].delta > ranked[j].delta })
 
-	var v RoundVerdict
+	var v Verdict
 	if len(ranked) == 0 {
 		c.done = true
 		v.Events = []decision.Event{decision.Converged(

@@ -101,14 +101,9 @@ func (h *halvingSearcher) Propose(round int) *SearchRound {
 	if h.done || round >= h.rungs || len(h.live) == 0 {
 		return nil
 	}
-	rd := &SearchRound{
-		Span:    fmt.Sprintf("search.rung%d", round),
-		Label:   fmt.Sprintf("halving/rung%d", round),
-		Control: h.t.baseline,
-		AB:      h.rungAB(round),
-	}
+	g := SearchGroup{Span: fmt.Sprintf("search.rung%d", round), Label: fmt.Sprintf("halving/rung%d", round)}
 	for _, id := range h.live {
-		rd.Arms = append(rd.Arms, SearchArm{
+		g.Arms = append(g.Arms, SearchArm{
 			// The rung is part of the label, so a surviving arm's next
 			// race draws fresh noise streams — survival must be confirmed
 			// on new samples, not by replaying the lucky ones.
@@ -117,10 +112,10 @@ func (h *halvingSearcher) Propose(round int) *SearchRound {
 			Setting: fmt.Sprintf("arm%d", id),
 		})
 	}
-	return rd
+	return &SearchRound{Control: h.t.baseline, Groups: []SearchGroup{g}, AB: h.rungAB(round)}
 }
 
-func (h *halvingSearcher) Observe(round int, outs []ArmOutcome) RoundVerdict {
+func (h *halvingSearcher) Observe(round, _ int, outs []ArmOutcome) Verdict {
 	type scored struct {
 		pos    int // index into outs / this rung's arms
 		id     int // stable population id
@@ -142,7 +137,7 @@ func (h *halvingSearcher) Observe(round int, outs []ArmOutcome) RoundVerdict {
 	// pure function of the outcomes.
 	sort.SliceStable(ranked, func(i, j int) bool { return ranked[i].delta > ranked[j].delta })
 
-	var v RoundVerdict
+	var v Verdict
 	budget := h.rungAB(round).MaxSamples
 	if len(ranked) == 0 {
 		// Every arm pruned or skipped (sustained chaos): keep the

@@ -54,7 +54,7 @@ func twinRun(t *testing.T, mode SweepMode, twinOn bool, par int, withChaos bool)
 // whose predicted regression clears the rung's safety margin, so the
 // winner path is never predicted away.
 func TestTwinPrunedSearchMatchesUnpruned(t *testing.T) {
-	for _, mode := range []SweepMode{SweepHillClimb, SweepHalving} {
+	for _, mode := range []SweepMode{SweepIndependent, SweepHillClimb, SweepHalving} {
 		mode := mode
 		t.Run(mode.String(), func(t *testing.T) {
 			_, offSKU, offWin, _ := twinRun(t, mode, false, 1, false)
@@ -76,32 +76,43 @@ func TestTwinPrunedSearchMatchesUnpruned(t *testing.T) {
 // TestTwinLedgerBitIdentical extends the determinism contract to the
 // twin-armed pipeline: ledger bytes (twin_pruned events included),
 // winner, and window count must be identical at -parallel 1 and 8,
-// with and without chaos. Scoring, calibration, and cross-checks all
-// run on serial phases against cache states fixed by the round
-// structure, so worker scheduling cannot reach any prune decision.
+// with and without chaos, for the adaptive climb and the paper's
+// independent sweep. Scoring, calibration, and cross-checks all run on
+// serial phases against cache states fixed by the round structure, so
+// worker scheduling cannot reach any prune decision. The hill-climb
+// cases keep their original names (plain, chaos); the independent
+// sweep's run as independent/plain and independent/chaos.
 func TestTwinLedgerBitIdentical(t *testing.T) {
-	for _, withChaos := range []bool{false, true} {
-		name := "plain"
-		if withChaos {
-			name = "chaos"
+	for _, mode := range []SweepMode{SweepIndependent, SweepHillClimb} {
+		for _, withChaos := range []bool{false, true} {
+			mode, withChaos := mode, withChaos
+			name := "plain"
+			if withChaos {
+				name = "chaos"
+			}
+			if mode != SweepHillClimb {
+				name = mode.String() + "/" + name
+			}
+			t.Run(name, func(t *testing.T) { twinLedgerBitIdentical(t, mode, withChaos) })
 		}
-		t.Run(name, func(t *testing.T) {
-			serial, serialSKU, serialWin, _ := twinRun(t, SweepHillClimb, true, 1, withChaos)
-			par, parSKU, parWin, _ := twinRun(t, SweepHillClimb, true, 8, withChaos)
-			if serialSKU != parSKU {
-				t.Fatalf("winner diverged: -parallel 1 chose %s, -parallel 8 chose %s", serialSKU, parSKU)
-			}
-			if serialWin != parWin {
-				t.Fatalf("window count diverged: %v vs %v", serialWin, parWin)
-			}
-			if !bytes.Equal(serial, par) {
-				t.Fatalf("twin ledger diverged between -parallel 1 and 8:\n%s",
-					firstLineDiff(serial, par))
-			}
-			if !bytes.Contains(serial, []byte(`"twin_pruned"`)) {
-				t.Fatal("twin run recorded no twin_pruned events")
-			}
-		})
+	}
+}
+
+func twinLedgerBitIdentical(t *testing.T, mode SweepMode, withChaos bool) {
+	serial, serialSKU, serialWin, _ := twinRun(t, mode, true, 1, withChaos)
+	par, parSKU, parWin, _ := twinRun(t, mode, true, 8, withChaos)
+	if serialSKU != parSKU {
+		t.Fatalf("winner diverged: -parallel 1 chose %s, -parallel 8 chose %s", serialSKU, parSKU)
+	}
+	if serialWin != parWin {
+		t.Fatalf("window count diverged: %v vs %v", serialWin, parWin)
+	}
+	if !bytes.Equal(serial, par) {
+		t.Fatalf("twin ledger diverged between -parallel 1 and 8:\n%s",
+			firstLineDiff(serial, par))
+	}
+	if !bytes.Contains(serial, []byte(`"twin_pruned"`)) {
+		t.Fatal("twin run recorded no twin_pruned events")
 	}
 }
 

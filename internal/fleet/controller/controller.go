@@ -149,8 +149,9 @@ type Config struct {
 	// more trial rounds for cross-knob coverage.
 	TuneSweep core.SweepMode
 	// TuneTwin arms the analytical-twin fidelity ladder inside every
-	// re-tune (DESIGN.md §16): predicted-losing arms are pruned before
-	// they cost a characterization window, which matters at the
+	// re-tune (DESIGN.md §16), whatever TuneSweep is — the default
+	// independent sweep included: predicted-losing arms are pruned
+	// before they cost a characterization window, which matters at the
 	// controller's cadence of up to MaxRetunesPerEpoch tunes per pool
 	// per epoch.
 	TuneTwin bool

@@ -245,6 +245,22 @@ if ! grep -q '"kind":"twin_pruned"' "$twindir/a.jsonl"; then
 fi
 pruned=$(grep -c '"kind":"twin_pruned"' "$twindir/a.jsonl")
 sed -n "s/^soft SKU:  */twin smoke (hill, $pruned arms pruned): /p" "$twindir/a.txt"
+# The same check for the paper's independent sweep (no -search): it
+# runs through the same driver, so the ladder prunes its arms too.
+"$twindir/musku" -service Web -knobs thp,shp,corefreq -twin \
+	-max-samples 1500 -q -decisions-out "$twindir/c.jsonl" >"$twindir/c.txt"
+"$twindir/musku" -service Web -knobs thp,shp,corefreq -twin \
+	-max-samples 1500 -q -decisions-out "$twindir/d.jsonl" >"$twindir/d.txt"
+if ! cmp -s "$twindir/c.jsonl" "$twindir/d.jsonl"; then
+	echo "twin smoke: same-seed twin-pruned independent ledgers diverged between runs" >&2
+	exit 1
+fi
+if ! grep -q '"kind":"twin_pruned"' "$twindir/c.jsonl"; then
+	echo "twin smoke: twin-armed independent sweep pruned nothing" >&2
+	exit 1
+fi
+pruned=$(grep -c '"kind":"twin_pruned"' "$twindir/c.jsonl")
+sed -n "s/^soft SKU:  */twin smoke (independent, $pruned arms pruned): /p" "$twindir/c.txt"
 rm -rf "$twindir"
 
 echo "== skutrace replay smoke =="
