@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check bench bench-parallel bench-simcache bench-search bench-twin bench-decision bench-fleet bench-lint fmt chaos lint lint-fixtures lint-graph soak
+.PHONY: build test check bench fmt chaos lint lint-fixtures lint-graph soak
 
 build:
 	$(GO) build ./...
@@ -33,79 +33,12 @@ lint-graph:
 lint-fixtures:
 	$(GO) test -count=1 -run 'TestGolden|TestSuiteSelfClean|TestFixture|TestClean|TestOnly|TestList|TestDetflow|TestCallee|TestLoadModule|TestJSON|TestGraph' ./internal/analysis ./cmd/softskulint
 
-# Cost of the interprocedural gate itself (DESIGN.md §14): one full
-# module load + call-graph build + detflow taint run, and the
-# call-graph build alone. Medians are recorded in BENCH_lint.json so a
-# regression in the analysis hot path (type-check fan-out, CHA
-# memoization, fixed-point propagation) is visible in review.
-bench-lint:
-	$(GO) test -run XXX -bench 'BenchmarkLint(Module|Callgraph)$$' -benchmem -benchtime 1x -count 3 ./internal/analysis
-
-# Regenerates every paper table/figure and writes BENCH_telemetry.json
-# with ns/op and sim-seconds/wall-second for the tracked benchmarks.
+# The closed-loop benchmark (bench/README.md, BENCHMARK.json): every
+# workload, each in a fresh child process, end-to-end and per-layer
+# metrics into out/result-<time>.json. The paper's tables and figures
+# print with: go test -run XXX -bench . -benchtime 1x .
 bench:
-	$(GO) test -bench=. -benchmem .
-
-# Scaling of the deterministic parallel sweep runtime (DESIGN.md §10):
-# one full four-knob tuning run at 1, 4, and 8 workers. Results are
-# bit-identical at every worker count (parallel_test.go proves it);
-# wall-clock speedup is bounded by the host's core count. Medians are
-# recorded in BENCH_parallel.json.
-bench-parallel:
-	$(GO) test -run XXX -bench BenchmarkSweepParallel -benchmem -benchtime 1x -count 3 ./internal/core
-
-# Characterization-cache effect on a full tuning run (DESIGN.md §11):
-# the same four-knob sweep with the cache off vs on. The windows/op
-# metric counts characterization windows actually executed — the cache
-# must cut it ≥2x (control-arm dedupe alone halves it) with the
-# wall-clock gain to match. Medians are recorded in BENCH_simcache.json;
-# TestSimCacheBitIdentical proves both rows compute identical Results.
-bench-simcache:
-	$(GO) test -run XXX -bench 'Benchmark(Sweep|Climb)Cache(Off|On)$$' -benchmem -benchtime 1x -count 3 ./internal/core
-
-# Search-efficiency comparison across the pluggable optimizers
-# (DESIGN.md §15): the same four-knob tuning run under the independent
-# sweep, hill climb, successive halving, and CEM. windows/op counts
-# fresh characterization windows (distinct configs — the simcache
-# absorbs revisits), best_pct/op is the winner's measured gain over
-# production, pct_per_vhour normalizes by virtual A/B time. Medians
-# are recorded in BENCH_search.json; the acceptance bar is halving or
-# CEM matching the hill climb's objective on fewer fresh windows than
-# the independent sweep.
-bench-search:
-	$(GO) test -run XXX -bench 'BenchmarkSearch(Independent|Hill|Halving|CEM)$$' -benchmem -benchtime 1x -count 3 ./internal/core
-
-# Tiered-fidelity ladder efficiency (DESIGN.md §16): the bench-search
-# hill-climb and halving runs re-measured with the analytical twin
-# armed (-twin / twin = on). windows/op must drop below the unpruned
-# optimizer's BENCH_search.json count while best_pct/op and the
-# composed soft SKU stay identical (TestTwinPrunedSearchMatchesUnpruned
-# proves identity); pruned/op counts arms vetoed on a prediction alone,
-# twin_err/op is the run's median cross-check error in percent. The
-# twin-package rows price one prediction (µs) against the ~1s window it
-# replaces. Medians are recorded in BENCH_twin.json.
-bench-twin:
-	$(GO) test -run XXX -bench 'BenchmarkSearchTwin(Hill|Halving)$$' -benchmem -benchtime 1x -count 3 ./internal/core
-	$(GO) test -run XXX -bench 'BenchmarkTwin(Predict|Score)$$' -benchmem ./internal/twin
-
-# Decision flight-recorder overhead: the same four-knob tuning run
-# with the ledger detached vs attached (DESIGN.md §12). Recording is
-# all on the serial merge phase — per trial one 64-read analytic
-# evidence capture plus struct appends — so the two rows must be
-# within noise of each other. Medians are recorded in
-# BENCH_decision.json; TestLedgerBitIdentical proves the ledger itself
-# is byte-identical at any worker count.
-bench-decision:
-	$(GO) test -run XXX -bench 'BenchmarkSweepRecorder(Off|On)$$' -benchmem -benchtime 1x -count 3 ./internal/core
-
-# Self-healing controller soak throughput (DESIGN.md §13): the same
-# 20-epoch, 1008-server soak with the fault engine off vs on. The On
-# row runs the full default fault mix plus day-long sensor blackouts,
-# so the delta prices the robustness machinery (breakers, quarantine,
-# degraded mode, watchdog ride-outs), not just the injector draws.
-# Each row also reports epochs/sec; medians go to BENCH_fleet.json.
-bench-fleet:
-	$(GO) test -run XXX -bench 'BenchmarkSoakChaos(Off|On)$$' -benchmem -benchtime 1x -count 3 ./internal/fleet/controller
+	bash bench/run.sh
 
 fmt:
 	gofmt -w .

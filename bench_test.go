@@ -10,16 +10,10 @@
 package softsku_test
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
-	"sync"
 	"testing"
 
-	"softsku"
 	"softsku/internal/figures"
-	"softsku/internal/telemetry"
 )
 
 const benchSeed = 1
@@ -38,113 +32,6 @@ func run(b *testing.B, gen func() figures.Table) {
 			fmt.Println(t.String())
 		}
 	}
-	recordBench(b, nil)
-}
-
-// ---- machine-readable benchmark summary ----
-//
-// Every benchmark records its ns/op (plus any extra metrics) into
-// benchSummary; TestMain writes the collected results to
-// BENCH_telemetry.json after a -bench run, so the perf trajectory is
-// tracked across PRs. Plain `go test` runs no benchmarks and writes
-// no file.
-
-type benchEntry struct {
-	NsPerOp float64            `json:"ns_per_op"`
-	Extra   map[string]float64 `json:"extra,omitempty"`
-}
-
-var benchSummary = struct {
-	mu      sync.Mutex
-	entries map[string]benchEntry
-}{entries: make(map[string]benchEntry)}
-
-// recordBench captures b's measured ns/op under its benchmark name.
-// Call it at the end of the benchmark body, after the timed loop.
-func recordBench(b *testing.B, extra map[string]float64) {
-	b.Helper()
-	if b.N == 0 {
-		return
-	}
-	benchSummary.mu.Lock()
-	defer benchSummary.mu.Unlock()
-	benchSummary.entries[b.Name()] = benchEntry{
-		NsPerOp: float64(b.Elapsed().Nanoseconds()) / float64(b.N),
-		Extra:   extra,
-	}
-}
-
-const benchSummaryPath = "BENCH_telemetry.json"
-
-func writeBenchSummary() {
-	benchSummary.mu.Lock()
-	defer benchSummary.mu.Unlock()
-	if len(benchSummary.entries) == 0 {
-		return
-	}
-	doc := struct {
-		Go                      string                `json:"go"`
-		SimSecondsPerWallSecond float64               `json:"sim_seconds_per_wall_second"`
-		Benchmarks              map[string]benchEntry `json:"benchmarks"`
-	}{
-		Go: runtime.Version(),
-		SimSecondsPerWallSecond: telemetry.Default.
-			Gauge("softsku_sim_seconds_per_wall_second", "").Value(),
-		Benchmarks: benchSummary.entries,
-	}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bench summary:", err)
-		return
-	}
-	if err := os.WriteFile(benchSummaryPath, append(data, '\n'), 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "bench summary:", err)
-	}
-}
-
-func TestMain(m *testing.M) {
-	code := m.Run()
-	writeBenchSummary()
-	os.Exit(code)
-}
-
-// BenchmarkSimThroughput measures the raw discrete-event simulation
-// rate and records sim-seconds per wall-second — the headline
-// observability number later perf PRs optimize against.
-func BenchmarkSimThroughput(b *testing.B) {
-	sku, err := softsku.PlatformByName("Skylake18")
-	if err != nil {
-		b.Fatal(err)
-	}
-	svc, err := softsku.ServiceByName("Web")
-	if err != nil {
-		b.Fatal(err)
-	}
-	srv, err := softsku.NewServer(sku, softsku.ProductionConfig(sku, svc))
-	if err != nil {
-		b.Fatal(err)
-	}
-	m, err := softsku.NewMachine(srv, svc, benchSeed)
-	if err != nil {
-		b.Fatal(err)
-	}
-	virt := telemetry.Default.Counter("softsku_sim_virtual_seconds_total", "")
-	// Elapsed-since-first-Run gauge: the delta across the benchmark is
-	// the wall time it spanned, immune to engine-overlap double counting.
-	wall := telemetry.Default.Gauge("softsku_sim_wall_seconds", "")
-	events := telemetry.Default.Counter("softsku_sim_events_total", "")
-	v0, w0, e0 := virt.Value(), wall.Value(), events.Value()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.FindPeak(benchSeed)
-	}
-	b.StopTimer()
-	extra := map[string]float64{}
-	if dw := wall.Value() - w0; dw > 0 {
-		extra["sim_seconds_per_wall_second"] = (virt.Value() - v0) / dw
-		extra["sim_events_per_wall_second"] = (events.Value() - e0) / dw
-	}
-	recordBench(b, extra)
 }
 
 // ---- §2 characterization: Tables 1-2, Figs 1-12 ----

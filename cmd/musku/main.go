@@ -87,7 +87,7 @@ func main() {
 	}
 	// The flight recorder is always on: recording is append-only structs
 	// behind the serial merge phase, so it costs nothing measurable (see
-	// make bench-decision) and every run stays explainable after the fact.
+	// EXPERIMENTS.md) and every run stays explainable after the fact.
 	ledger := decision.NewLedger()
 	tool.SetRecorder(ledger)
 	obs.Decisions = ledger.Handler()

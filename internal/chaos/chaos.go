@@ -19,7 +19,7 @@
 // The zero cost of disabled injection matters: consumers hold a nil
 // Injector by default and skip every hook, so chaos-off runs are
 // bit-identical to — and as fast as — runs built before this layer
-// existed (BENCH_chaos.json records the overhead).
+// existed (EXPERIMENTS.md records the overhead).
 package chaos
 
 import (

@@ -233,6 +233,9 @@ func ParseInput(text string) (Input, error) {
 			return in, fmt.Errorf("core: input line %d: unknown key %q", lineNo, key)
 		}
 	}
+	if err := sc.Err(); err != nil {
+		return in, fmt.Errorf("core: input line %d: %v", lineNo+1, err)
+	}
 	if in.Microservice == "" {
 		return in, fmt.Errorf("core: input file missing 'microservice'")
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -58,6 +60,7 @@ func TestParseInputErrors(t *testing.T) {
 		"microservice = Web\nseed = abc",
 		"microservice = Web\nmax_samples = -1",
 		"microservice = Web\nunknownkey = 1",
+		"microservice = Web\n# " + strings.Repeat("x", 70000), // line too long to scan
 	}
 	for i, c := range cases {
 		if _, err := ParseInput(c); err == nil {
@@ -128,4 +131,36 @@ func TestParseInputSearchKey(t *testing.T) {
 	if _, err := ParseInput("microservice = Web\nsearch = independent"); err == nil {
 		t.Fatal("search key must reject non-adaptive modes")
 	}
+}
+
+// FuzzParseInput feeds the input-file parser arbitrary text, seeded
+// with the README's example file and this file's cases. Neither
+// ParseInput nor, on success, Validate may panic; an accepted input
+// must validate; and the same text must always parse to the same Input
+// (or the same error).
+func FuzzParseInput(f *testing.F) {
+	for _, seed := range []string{
+		"microservice = Web\nplatform     = Skylake18\nsweep        = independent   # independent | exhaustive | hillclimb | halving | cem\n" +
+			"metric       = mips          # mips | qps  (Cache requires qps, §4)\nknobs        = cdp, thp, shp # optional subset\n" +
+			"seed         = 1\nparallel     = 4             # trial workers; 0 = GOMAXPROCS\n",
+		"# µSKU input file\nmicroservice = Web\nplatform = Skylake18\nsweep = independent\nmetric = mips\nknobs = thp, shp\nseed = 42\nmax_samples = 5000\n",
+		"microservice = Ads1\nsweep = exhaustive\n",
+		"microservice = Web\nsearch = hill\ntwin = on\nmetric = perf/watt\n",
+		"microservice = Web\nknobs = voltage",
+		"microservice Web",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		in, err := ParseInput(text)
+		again, errAgain := ParseInput(text)
+		if fmt.Sprint(err) != fmt.Sprint(errAgain) || !reflect.DeepEqual(in, again) {
+			t.Fatalf("same text parsed twice differently:\n %#v, %v\n %#v, %v", in, err, again, errAgain)
+		}
+		if err == nil {
+			if err := in.Validate(); err != nil {
+				t.Fatalf("accepted input fails Validate: %v\n%#v", err, in)
+			}
+		}
+	})
 }

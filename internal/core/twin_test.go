@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"io"
+	"sync"
 	"testing"
 
 	"softsku/internal/chaos"
@@ -11,24 +12,61 @@ import (
 	"softsku/internal/sim"
 )
 
+// twinRunKey is twinRun's argument list.
+type twinRunKey struct {
+	mode      SweepMode
+	twinOn    bool
+	par       int
+	withChaos bool
+}
+
+type twinRunResult struct {
+	ledger          []byte
+	sku             string
+	windows, pruned float64
+}
+
+// twinRuns memoizes twinRun: a run starts from a cold cache with a
+// fixed seed, so its results are a pure function of its arguments, and
+// a run two tests share is simulated once per process, by whichever
+// test reaches it first in the (possibly shuffled) order.
+var twinRuns = struct {
+	sync.Mutex
+	m map[twinRunKey]twinRunResult
+}{m: map[twinRunKey]twinRunResult{}}
+
 // twinRun executes one four-knob search from a cold characterization
 // cache (the ladder's prune decisions depend on what the cache holds,
 // so every comparison starts from the same empty state — exactly one
 // process = one run in production) and returns the ledger bytes,
-// composed SKU, window count, and twin-pruned arm count.
+// composed SKU, window count, and twin-pruned arm count. Callers must
+// not modify the returned ledger: it is shared through twinRuns.
 func twinRun(t *testing.T, mode SweepMode, twinOn bool, par int, withChaos bool) (ledger []byte, sku string, windows, pruned float64) {
+	t.Helper()
+	key := twinRunKey{mode, twinOn, par, withChaos}
+	twinRuns.Lock()
+	defer twinRuns.Unlock()
+	r, ok := twinRuns.m[key]
+	if !ok {
+		r = coldTwinRun(t, key)
+		twinRuns.m[key] = r
+	}
+	return r.ledger, r.sku, r.windows, r.pruned
+}
+
+func coldTwinRun(t *testing.T, k twinRunKey) twinRunResult {
 	t.Helper()
 	sim.ResetCharacterizationCache()
 	in := fastInput("Web", "Skylake18", knob.THP, knob.SHP, knob.CoreFreq, knob.Prefetch)
-	in.Sweep = mode
-	in.Parallel = par
-	in.Twin = twinOn
+	in.Sweep = k.mode
+	in.Parallel = k.par
+	in.Twin = k.twinOn
 	wBefore, pBefore := sim.WindowsExecuted(), mConfigsTwinPruned.Value()
 	tool, err := New(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if withChaos {
+	if k.withChaos {
 		tool.SetChaos(chaos.New(42, chaos.DefaultConfig()))
 	}
 	led := decision.NewLedger()
@@ -42,8 +80,8 @@ func twinRun(t *testing.T, mode SweepMode, twinOn bool, par int, withChaos bool)
 	if err := led.WriteJSONL(&b); err != nil {
 		t.Fatal(err)
 	}
-	return b.Bytes(), res.SoftSKU.String(),
-		sim.WindowsExecuted() - wBefore, mConfigsTwinPruned.Value() - pBefore
+	return twinRunResult{b.Bytes(), res.SoftSKU.String(),
+		sim.WindowsExecuted() - wBefore, mConfigsTwinPruned.Value() - pBefore}
 }
 
 // TestTwinPrunedSearchMatchesUnpruned is the tentpole acceptance test:

@@ -166,3 +166,51 @@ func TestHandlerServesTail(t *testing.T) {
 		t.Fatalf("bad n accepted: %d", rr.Code)
 	}
 }
+
+// realLedgerLines opens the ledger of `musku -service Web -knobs thp
+// -max-samples 1500`: run_started, the thp sweep, its first trial with
+// the four-objective evidence panel replay reads, and (renumbered to
+// follow) that trial's arm_accepted.
+const realLedgerLines = `{"seq":0,"parent":-1,"kind":"run_started","service":"Web","platform":"Skylake18","sweep":"independent","metric":"mips","seed":1,"confidence":0.95}
+{"seq":1,"parent":0,"kind":"sweep_started","label":"sweep/thp","knob":"thp","control":"madvise"}
+{"seq":2,"parent":1,"kind":"trial_measured","label":"sweep/thp/1","knob":"thp","setting":"always","control":"core=2.2GHz uncore=1.8GHz cores=18 cdp=off pf=all-on thp=madvise shp=200","treatment":"core=2.2GHz uncore=1.8GHz cores=18 cdp=off pf=all-on thp=always shp=200","delta_pct":3.4781968854416228,"significant":true,"samples":300,"virtual_sec":330,"evidence_id":"25db1c244a14d730","evidence":[{"metric":"mips","control":{"n":32,"mean":30860.201025848983,"var":543672.9460302902},"treatment":{"n":32,"mean":31861.017102088827,"var":640789.2626706776}},{"metric":"qps","control":{"n":32,"mean":1026.2367228686012,"var":536.3941006566539},"treatment":{"n":32,"mean":1058.4620876161173,"var":839.5939402885774}},{"metric":"perfwatt","control":{"n":32,"mean":155.5679798627864,"var":5.997572653910288},"treatment":{"n":32,"mean":160.62606600996412,"var":4.18156972000082}},{"metric":"p99","control":{"n":32,"mean":2.1547806978030044,"var":0.9088875972524315},"treatment":{"n":32,"mean":2.0841053190297476,"var":0.8947151850812717}}]}
+{"seq":3,"parent":2,"kind":"trial_started","confidence":0.95,"samples":1500,"detail":"per-arm sample budget 300..1500"}
+{"seq":4,"parent":2,"kind":"arm_accepted","knob":"thp","setting":"always","delta_pct":3.4781968854416228}
+`
+
+// FuzzReadJSONL feeds the ledger reader arbitrary text. It must never
+// panic, and every ledger it accepts must round-trip: each event,
+// re-marshaled one per line, reads back deeply equal.
+func FuzzReadJSONL(f *testing.F) {
+	var built bytes.Buffer
+	if err := buildLedger().WriteJSONL(&built); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(built.String())
+	f.Add(realLedgerLines)
+	for _, line := range strings.SplitAfter(realLedgerLines, "\n")[:3] {
+		f.Add(line)
+	}
+	f.Add(`{"seq":0,"parent":-1,"kind":"twin_pruned","delta_pct":-1.7976931348623157e308,"evidence":[]}` + "\n\n")
+	f.Fuzz(func(t *testing.T, text string) {
+		events, err := ReadJSONL(strings.NewReader(text))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		for _, e := range events {
+			line, err := json.Marshal(e)
+			if err != nil {
+				t.Fatalf("accepted event does not marshal: %v", err)
+			}
+			buf.Write(append(line, '\n'))
+		}
+		back, err := ReadJSONL(&buf)
+		if err != nil {
+			t.Fatalf("re-marshaled ledger rejected: %v\n%s", err, buf.String())
+		}
+		if !reflect.DeepEqual(back, events) {
+			t.Fatalf("ledger changed in a round trip:\n got  %#v\n want %#v", back, events)
+		}
+	})
+}

@@ -120,6 +120,9 @@ func ReadJSONL(r io.Reader) ([]Event, error) {
 		if e.Parent < -1 || e.Parent >= e.Seq {
 			return nil, fmt.Errorf("decision: line %d: parent %d is not an earlier event", line, e.Parent)
 		}
+		if len(e.Evidence) == 0 {
+			e.Evidence = nil // "evidence":[] reads as WriteJSONL's omitted field
+		}
 		events = append(events, e)
 	}
 	if err := sc.Err(); err != nil {

@@ -58,16 +58,22 @@ go -C bench test .
 
 echo "== reference fuzz =="
 # Each fast path that replaced a simpler one keeps the old code in a
-# test file as its oracle and must match it bit for bit. go test above
-# only replays the seed corpora; here each target explores for 10 s
-# (no -race). A failing input is written under the package's
-# testdata/fuzz/ and replays in every later go test.
+# test file as its oracle and must match it bit for bit; the two
+# readers of outside text (the decision-ledger JSONL and the µSKU
+# input file) must never panic, and the ledger reader must round-trip
+# what it accepts. go test above only replays the seed corpora; here
+# each target explores for 10 s (no -race). Minimizing each new
+# coverage input may take 60 s by default, which stalled whole runs at
+# a dozen execs, so it is capped at 1 s. A failing input is written
+# under the package's testdata/fuzz/ and replays in every later go test.
 for target in \
 	FuzzCacheMatchesReference:./internal/cache \
 	FuzzEngineMatchesReference:./internal/prefetch \
 	FuzzAnalyzeMatchesReference:./internal/cpu \
-	FuzzSolveMatchesReference:./internal/sim; do
-	go test -run XXX -fuzz "${target%%:*}" -fuzztime 10s "${target#*:}"
+	FuzzSolveMatchesReference:./internal/sim \
+	FuzzReadJSONL:./internal/decision \
+	FuzzParseInput:./internal/core; do
+	go test -run XXX -fuzz "${target%%:*}" -fuzztime 10s -fuzzminimizetime 1s "${target#*:}"
 done
 
 echo "== chaos smoke =="
