@@ -62,6 +62,9 @@ func NewHierarchySized(sku *platform.SKU, cores int, llcBytes int) *Hierarchy {
 	if cores < 1 {
 		cores = 1
 	}
+	if sku.CacheBlock < 1<<llcOpBits {
+		panic(fmt.Sprintf("cache: %d-byte blocks leave no room for an LLCLog entry's op bits", sku.CacheBlock))
+	}
 	minLLC := sku.LLCWays * sku.CacheBlock
 	if llcBytes < minLLC {
 		llcBytes = minLLC
@@ -85,8 +88,21 @@ func NewHierarchySized(sku *platform.SKU, cores int, llcBytes int) *Hierarchy {
 func (h *Hierarchy) Cores() int { return len(h.L2s) }
 
 // Access performs a demand access from core for addr, filling on the
-// way down, and returns the level that satisfied it.
+// way down, and returns the level that satisfied it: the private
+// step, then its LLC access.
 func (h *Hierarchy) Access(core int, addr uint64, kind Kind) Level {
+	lvl := h.AccessPrivate(core, addr, kind)
+	if lvl == LLC && !h.LLCs.Access(addr, kind) {
+		return Memory
+	}
+	return lvl
+}
+
+// AccessPrivate is Access's private step: the demand access to core's
+// L1 and L2. It returns L1 or L2 where the access hit, or LLC when
+// both missed and the access goes on to the shared LLC, which alone
+// decides between LLC and Memory.
+func (h *Hierarchy) AccessPrivate(core int, addr uint64, kind Kind) Level {
 	l1 := h.L1D[core]
 	if kind == Code {
 		l1 = h.L1I[core]
@@ -97,10 +113,7 @@ func (h *Hierarchy) Access(core int, addr uint64, kind Kind) Level {
 	if h.L2s[core].Access(addr, kind) {
 		return L2
 	}
-	if h.LLCs.Access(addr, kind) {
-		return LLC
-	}
-	return Memory
+	return LLC
 }
 
 // PrefetchL2 installs addr into core's L2 (and the LLC, as hardware
@@ -108,26 +121,116 @@ func (h *Hierarchy) Access(core int, addr uint64, kind Kind) Level {
 // any line was installed; fromMemory reports whether the line had to
 // be pulled from DRAM, i.e. the prefetch consumed memory bandwidth.
 func (h *Hierarchy) PrefetchL2(core int, addr uint64, kind Kind) (moved, fromMemory bool) {
+	movedL2 := h.PrefetchL2Private(core, addr, kind)
 	fromMemory = h.LLCs.Prefetch(addr, kind)
-	movedL2 := h.L2s[core].Prefetch(addr, kind)
 	return movedL2 || fromMemory, fromMemory
+}
+
+// PrefetchL2Private is PrefetchL2's private step, the fill of core's
+// L2, and reports whether it installed the line. The LLC fill always
+// follows it.
+func (h *Hierarchy) PrefetchL2Private(core int, addr uint64, kind Kind) (movedL2 bool) {
+	return h.L2s[core].Prefetch(addr, kind)
 }
 
 // PrefetchL1 installs addr into core's L1 (DCU prefetchers), pulling
 // through L2/LLC as needed. fromMemory reports DRAM bandwidth use.
 func (h *Hierarchy) PrefetchL1(core int, addr uint64, kind Kind) (moved, fromMemory bool) {
+	moved, toLLC := h.PrefetchL1Private(core, addr, kind)
+	if toLLC {
+		fromMemory = h.LLCs.Prefetch(addr, kind)
+	}
+	return moved, fromMemory
+}
+
+// PrefetchL1Private is PrefetchL1's private step, the fills of core's
+// L1 and L2. Each lower level fills only if the level above it missed,
+// and a fill reports whether the line was absent: the probe and the
+// fill are one set scan. toLLC reports that the fill goes on to the
+// LLC.
+func (h *Hierarchy) PrefetchL1Private(core int, addr uint64, kind Kind) (moved, toLLC bool) {
 	l1 := h.L1D[core]
 	if kind == Code {
 		l1 = h.L1I[core]
 	}
 	moved = l1.Prefetch(addr, kind)
-	// Each lower level fills only if the level above it missed, and a
-	// fill reports whether the line was absent: the probe and the fill
-	// are one set scan.
-	if moved && h.L2s[core].Prefetch(addr, kind) {
-		fromMemory = h.LLCs.Prefetch(addr, kind)
+	return moved, moved && h.L2s[core].Prefetch(addr, kind)
+}
+
+// LLCOp classifies an operation a core's private levels hand down to
+// the shared LLC, as finely as the statistics built on its outcome
+// need.
+type LLCOp uint8
+
+// LLC operations. A demand op is an access that missed both private
+// levels; a fill is a prefetch fill.
+const (
+	LLCLoad      LLCOp = iota // demand data load
+	LLCStore                  // demand data store
+	LLCCode                   // demand code fetch
+	LLCFill                   // fill whose private step installed a line
+	LLCFillMoves              // fill whose private step installed nothing
+	numLLCOps
+)
+
+// LLCLog holds one core's LLC operations in issue order, so the core's
+// private levels can run ahead of the shared LLC and ApplyLLC can
+// replay the operations later. Nothing a core's private levels or
+// prefetchers do depends on the LLC's answers, which feed only
+// statistics, so replaying every core's log in the order the
+// operations would have reached the LLC leaves every cache and count
+// as the immediate methods would.
+//
+// An entry packs the address with its op and kind in the low
+// llcOpBits bits, which only name a byte within the line: the LLC
+// locates a line by addr >> log2(block), and NewHierarchySized
+// requires blocks of at least 1<<llcOpBits bytes.
+type LLCLog struct {
+	ops []uint64
+}
+
+// llcOpBits is how many low address bits an LLCLog entry uses for its
+// op (3 bits) and kind (1 bit).
+const llcOpBits = 4
+
+// NewLLCLog returns an empty log with room for n operations.
+func NewLLCLog(n int) LLCLog { return LLCLog{ops: make([]uint64, 0, n)} }
+
+// Add appends one operation.
+func (l *LLCLog) Add(addr uint64, kind Kind, op LLCOp) {
+	l.ops = append(l.ops, addr&^(1<<llcOpBits-1)|uint64(op)<<1|uint64(kind))
+}
+
+// Len returns the number of operations logged.
+func (l *LLCLog) Len() int { return len(l.ops) }
+
+// Reset empties the log, keeping its storage.
+func (l *LLCLog) Reset() { l.ops = l.ops[:0] }
+
+// LLCOutcomes counts applied LLC operations by op and by what the LLC
+// answered: [op][1] counts a demand hit or a fill that installed the
+// line, that is pulled it from memory; [op][0] the rest.
+type LLCOutcomes [numLLCOps][2]uint64
+
+// ApplyLLC performs l's operations on the LLC in order, exactly as
+// Access and the prefetch methods would have, and counts their
+// outcomes into out.
+func (h *Hierarchy) ApplyLLC(l *LLCLog, out *LLCOutcomes) {
+	llc := h.LLCs
+	for _, e := range l.ops {
+		addr, kind, op := e&^(1<<llcOpBits-1), Kind(e&1), LLCOp(e>>1&(1<<(llcOpBits-1)-1))
+		var yes bool
+		if op < LLCFill {
+			yes = llc.Access(addr, kind)
+		} else {
+			yes = llc.Prefetch(addr, kind)
+		}
+		if yes {
+			out[op][1]++
+		} else {
+			out[op][0]++
+		}
 	}
-	return moved, fromMemory
 }
 
 // ApplyCDP partitions the LLC's ways between data and code, or clears

@@ -4,12 +4,56 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"runtime"
+	"sync"
 	"testing"
 
 	"softsku/internal/chaos"
 	"softsku/internal/knob"
 	"softsku/internal/rng"
+	"softsku/internal/sim"
 )
+
+// coldRunKey is coldRunAt's argument list.
+type coldRunKey struct {
+	cacheOn   bool
+	par       int
+	withChaos bool
+}
+
+type coldRunResult struct {
+	res     *Result
+	log, fp string
+}
+
+// coldRuns memoizes coldRunAt: a run starts from an empty
+// characterization cache with a fixed seed, so its results are a pure
+// function of its arguments, and a run two tests share is simulated
+// once per process, by whichever test reaches it first in the
+// (possibly shuffled) order.
+var coldRuns = struct {
+	sync.Mutex
+	m map[coldRunKey]coldRunResult
+}{m: map[coldRunKey]coldRunResult{}}
+
+// coldRunAt is runAt with the characterization cache on or off and,
+// when on, emptied first. Callers must not modify the returned Result:
+// it is shared through coldRuns.
+func coldRunAt(t *testing.T, cacheOn bool, par int, withChaos bool) (*Result, string, string) {
+	t.Helper()
+	key := coldRunKey{cacheOn, par, withChaos}
+	coldRuns.Lock()
+	defer coldRuns.Unlock()
+	r, ok := coldRuns.m[key]
+	if !ok {
+		prev := sim.SetCharacterizationCache(cacheOn)
+		defer sim.SetCharacterizationCache(prev)
+		sim.ResetCharacterizationCache()
+		r.res, r.log, r.fp = runAt(t, par, withChaos)
+		coldRuns.m[key] = r
+	}
+	return r.res, r.log, r.fp
+}
 
 // runAt executes a full tuning run at the given worker count and
 // returns the result, the captured progress log, and the chaos
@@ -49,10 +93,12 @@ func runAt(t *testing.T, par int, withChaos bool) (*Result, string, string) {
 // TestParallelSweepBitIdenticalToSerial is the tentpole acceptance
 // test: a full run at -parallel=8 must produce the exact Result struct
 // — every sampled mean, p-value, clock reading, and log line — that
-// -parallel=1 produces at the same seed.
+// -parallel=1 produces at the same seed. Both runs start from an empty
+// characterization cache, as TestSimCacheBitIdentical's cached runs
+// do, so the two tests share them.
 func TestParallelSweepBitIdenticalToSerial(t *testing.T) {
-	serialRes, serialLog, _ := runAt(t, 1, false)
-	parRes, parLog, _ := runAt(t, 8, false)
+	serialRes, serialLog, _ := coldRunAt(t, true, 1, false)
+	parRes, parLog, _ := coldRunAt(t, true, 8, false)
 	if !reflect.DeepEqual(serialRes, parRes) {
 		t.Fatalf("parallel result diverged from serial:\nserial: %+v\nparallel: %+v", serialRes, parRes)
 	}
@@ -66,8 +112,8 @@ func TestParallelSweepBitIdenticalToSerial(t *testing.T) {
 // child injectors must decouple fault streams without changing the
 // merged schedule, reverts, or composition.
 func TestParallelSweepBitIdenticalUnderChaos(t *testing.T) {
-	serialRes, serialLog, serialFP := runAt(t, 1, true)
-	parRes, parLog, parFP := runAt(t, 8, true)
+	serialRes, serialLog, serialFP := coldRunAt(t, true, 1, true)
+	parRes, parLog, parFP := coldRunAt(t, true, 8, true)
 	if !reflect.DeepEqual(serialRes, parRes) {
 		t.Fatalf("chaos result diverged:\nserial: %+v\nparallel: %+v", serialRes, parRes)
 	}
@@ -95,6 +141,36 @@ func TestParallelForCoversAllIndices(t *testing.T) {
 					t.Fatalf("workers=%d n=%d: index %d ran %d times", workers, n, i, h)
 				}
 			}
+		}
+	}
+}
+
+// TestParallelForPanicReachesCaller: a panicking fn re-panics in the
+// caller with the same value at one worker and at four, after every
+// worker has returned. At four workers two indices panic, and the
+// lower one's value wins.
+func TestParallelForPanicReachesCaller(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		base := runtime.NumGoroutine()
+		var got any
+		func() {
+			defer func() { got = recover() }()
+			ParallelFor(workers, 10, func(i int) {
+				if i == 3 || (workers > 1 && i == 7) {
+					panic(fmt.Sprintf("boom at %d", i))
+				}
+			})
+		}()
+		if got != "boom at 3" {
+			t.Errorf("workers=%d: recovered %v, want boom at 3", workers, got)
+		}
+		// A worker that has signalled its exit may not have returned
+		// yet, so yield until the count settles.
+		for i := 0; runtime.NumGoroutine() > base; i++ {
+			if i == 100_000 {
+				t.Fatalf("workers=%d: %d goroutines left behind", workers, runtime.NumGoroutine()-base)
+			}
+			runtime.Gosched()
 		}
 	}
 }

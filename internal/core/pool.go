@@ -18,6 +18,11 @@ import (
 // per-trial seeds), never shared mutable state, and callers must merge
 // results by index order, not completion order. That discipline is
 // what makes parallel sweeps bit-identical to serial ones.
+//
+// A panic in fn reaches the caller at any worker count. In the pool,
+// the first panic stops the hand-out of new indices; once every
+// worker has returned, ParallelFor re-panics with the value of the
+// lowest index that panicked, as the serial loop would have.
 func ParallelFor(workers, n int, fn func(int)) {
 	if workers <= 0 {
 		//lint:ignore detflow worker count is result-invariant: index-ordered merge makes parallel sweeps bit-identical to serial (pinned by the equivalence tests)
@@ -32,8 +37,29 @@ func ParallelFor(workers, n int, fn func(int)) {
 		}
 		return
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
+	var (
+		next     atomic.Int64
+		wg       sync.WaitGroup
+		mu       sync.Mutex
+		panicAt  = n
+		panicVal any
+	)
+	// run calls fn(i) and reports whether it returned; a panic is kept
+	// if its index is the lowest so far.
+	run := func(i int) (ok bool) {
+		defer func() {
+			if !ok {
+				r := recover()
+				mu.Lock()
+				if i < panicAt {
+					panicAt, panicVal = i, r
+				}
+				mu.Unlock()
+			}
+		}()
+		fn(i)
+		return true
+	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		//lint:ignore goroutine bounded worker pool; callers merge results in index order
@@ -44,9 +70,15 @@ func ParallelFor(workers, n int, fn func(int)) {
 				if i >= n {
 					return
 				}
-				fn(i)
+				if !run(i) {
+					next.Store(int64(n))
+					return
+				}
 			}
 		}()
 	}
 	wg.Wait()
+	if panicAt < n {
+		panic(panicVal)
+	}
 }

@@ -15,7 +15,8 @@ import (
 // fingerprint that -sim-cache=off produces, at parallel=1 and 8, with
 // chaos off and on. The cache is a pure memoization — if any input
 // that reaches a window were missing from its key, one of these eight
-// runs would diverge.
+// runs would diverge. The cached runs are the ones the parallel
+// equivalence tests compare (coldRunAt).
 func TestSimCacheBitIdentical(t *testing.T) {
 	type run struct {
 		res *Result
@@ -23,10 +24,7 @@ func TestSimCacheBitIdentical(t *testing.T) {
 		fp  string
 	}
 	do := func(cacheOn bool, par int, withChaos bool) run {
-		prev := sim.SetCharacterizationCache(cacheOn)
-		defer sim.SetCharacterizationCache(prev)
-		sim.ResetCharacterizationCache()
-		res, log, fp := runAt(t, par, withChaos)
+		res, log, fp := coldRunAt(t, cacheOn, par, withChaos)
 		return run{res, log, fp}
 	}
 	for _, withChaos := range []bool{false, true} {

@@ -54,6 +54,10 @@ type Engine struct {
 	h     *cache.Hierarchy
 	core  int
 	clock uint64
+	// llc, when set, takes the engine's LLC fills in issue order in
+	// place of the LLC; their Moved and FromMemory counts then come
+	// from LLCStats over the applied log's outcomes.
+	llc *cache.LLCLog
 
 	// streamPages holds each stream entry's page+1 (0 = empty) apart
 	// from the entries, so the per-access lookup scans 128 bytes.
@@ -70,13 +74,40 @@ func NewEngine(h *cache.Hierarchy, core int, mask knob.PrefetchMask) *Engine {
 	return &Engine{mask: mask, h: h, core: core}
 }
 
+// NewDeferredEngine builds an engine whose private fills happen now
+// and whose LLC fills append to llc, for a caller that applies the log
+// to the LLC later (cache.Hierarchy.ApplyLLC). The log is fixed here,
+// before the engine issues anything, so no fill can reach the LLC
+// directly.
+func NewDeferredEngine(h *cache.Hierarchy, core int, mask knob.PrefetchMask, llc *cache.LLCLog) *Engine {
+	return &Engine{mask: mask, h: h, core: core, llc: llc}
+}
+
+// LLCStats returns the Moved and FromMemory counts that deferred
+// engines' LLC fills earned, from the outcomes of applying their logs.
+func LLCStats(out *cache.LLCOutcomes) Stats {
+	return Stats{
+		Moved:      out[cache.LLCFillMoves][1],
+		FromMemory: out[cache.LLCFill][1] + out[cache.LLCFillMoves][1],
+	}
+}
+
+// Add adds o's counters to s.
+func (s *Stats) Add(o Stats) {
+	s.Issued += o.Issued
+	s.Moved += o.Moved
+	s.FromMemory += o.FromMemory
+}
+
 // SetMask reconfigures which prefetchers are enabled (an MSR write).
 func (e *Engine) SetMask(mask knob.PrefetchMask) { e.mask = mask }
 
 // Mask returns the current enable mask.
 func (e *Engine) Mask() knob.PrefetchMask { return e.mask }
 
-// Stats returns a copy of the counters.
+// Stats returns a copy of the counters. A deferred engine's counters
+// lack the Moved and FromMemory counts its LLC fills earn when applied
+// (LLCStats).
 func (e *Engine) Stats() Stats { return e.stats }
 
 // ResetStats zeroes the counters.
@@ -190,18 +221,34 @@ func (e *Engine) ipStride(addr, ip uint64, kind cache.Kind) {
 
 func (e *Engine) issueL2(addr uint64, kind cache.Kind) {
 	e.stats.Issued++
-	moved, fromMem := e.h.PrefetchL2(e.core, addr, kind)
-	if moved {
-		e.stats.Moved++
+	if e.llc == nil {
+		e.count(e.h.PrefetchL2(e.core, addr, kind))
+		return
 	}
-	if fromMem {
-		e.stats.FromMemory++
+	if e.h.PrefetchL2Private(e.core, addr, kind) {
+		e.stats.Moved++
+		e.llc.Add(addr, kind, cache.LLCFill)
+	} else {
+		e.llc.Add(addr, kind, cache.LLCFillMoves)
 	}
 }
 
 func (e *Engine) issueL1(addr uint64, kind cache.Kind) {
 	e.stats.Issued++
-	moved, fromMem := e.h.PrefetchL1(e.core, addr, kind)
+	if e.llc == nil {
+		e.count(e.h.PrefetchL1(e.core, addr, kind))
+		return
+	}
+	moved, toLLC := e.h.PrefetchL1Private(e.core, addr, kind)
+	if moved {
+		e.stats.Moved++
+	}
+	if toLLC {
+		e.llc.Add(addr, kind, cache.LLCFill)
+	}
+}
+
+func (e *Engine) count(moved, fromMem bool) {
 	if moved {
 		e.stats.Moved++
 	}

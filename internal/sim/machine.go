@@ -46,11 +46,6 @@ const (
 	shpPressureMissPerMiB = 1e-6
 )
 
-// windowChunk is how many instructions each simulated thread runs
-// between interleavings in a window. Context switches land on chunk
-// boundaries, so PredictCtxSwitches shares it with runWindow.
-const windowChunk = 2000
-
 // Machine simulates one server of a SKU running one microservice under
 // a given soft-SKU configuration. It holds only what outlives a
 // characterization window: the window's own state (caches, TLBs,
@@ -157,19 +152,29 @@ type memHalf struct {
 // window is the mutable state of one replay of a characterization
 // window. Every replay starts from a fresh one, so each half it
 // simulates is a function of the machine's inputs alone. A half the
-// replay does not simulate is left unbuilt: hier and pfs are nil when
-// the memory half is memoized, tlbs when the TLB half is.
+// replay does not simulate is left unbuilt: hier and every thread's pf
+// are nil when the memory half is memoized, every thread's tlb when
+// the TLB half is.
 type window struct {
-	m      *Machine
-	layout workload.Layout
-	thr    []*workload.Stream
+	m       *Machine
+	layout  workload.Layout
+	threads []thread
 
-	hier  *cache.Hierarchy
-	pfs   []*prefetch.Engine
-	tally [4][2]uint64
+	hier   *cache.Hierarchy
+	llcOut cache.LLCOutcomes // the LLC stage's counts of its threads' LLC ops
 
-	pages tlb.Resolver // flattened page resolver for runWindow's hot loop
-	tlbs  []*tlb.TLB
+	pages tlb.Resolver // flattened page resolver for the thread stages' hot loop
+}
+
+// thread is one simulated thread's state: its access stream and the
+// models private to its core. While a pass runs only the thread's own
+// stage touches it (stages.go).
+type thread struct {
+	stream *workload.Stream
+	pf     *prefetch.Engine // defers its LLC fills to llc
+	tlb    *tlb.TLB
+	llc    cache.LLCLog // LLC ops not yet handed to the LLC stage
+	tally  [2][2]uint64 // [L1 or L2][0] data loads satisfied there, [1] stores
 }
 
 // newWindow builds cold window state for m's configuration, with only
@@ -177,11 +182,11 @@ type window struct {
 func (m *Machine) newWindow(simMem, simTLB bool) *window {
 	cfg := m.srv.Config()
 	sku := m.srv.SKU()
-	w := &window{m: m, layout: m.prof.BuildLayout()}
+	w := &window{m: m, layout: m.prof.BuildLayout(), threads: make([]thread, m.nthreads)}
 	coreScale := float64(cfg.Cores) / float64(m.nthreads)
-	for i := 0; i < m.nthreads; i++ {
-		w.thr = append(w.thr, workload.NewStream(m.prof, w.layout,
-			m.seed+uint64(i)*7919, i, coreScale))
+	for i := range w.threads {
+		w.threads[i].stream = workload.NewStream(m.prof, w.layout,
+			m.seed+uint64(i)*7919, i, coreScale)
 	}
 	if simMem {
 		// The simulated threads share the full LLC: service data is
@@ -199,8 +204,11 @@ func (m *Machine) newWindow(simMem, simTLB bool) *window {
 		if m.catWays > 0 {
 			must(w.hier.ApplyCAT(m.catWays))
 		}
-		for i := 0; i < m.nthreads; i++ {
-			w.pfs = append(w.pfs, prefetch.NewEngine(w.hier, i, cfg.Prefetch))
+		// Each engine's log is fixed before any stage starts, so no
+		// fill of a thread stage can reach the LLC directly.
+		for i := range w.threads {
+			th := &w.threads[i]
+			th.pf = prefetch.NewDeferredEngine(w.hier, i, cfg.Prefetch, &th.llc)
 		}
 	}
 	if simTLB {
@@ -210,8 +218,8 @@ func (m *Machine) newWindow(simMem, simTLB bool) *window {
 			DTLB4K: sku.DTLB4K, DTLB2M: sku.DTLB2M,
 			STLB: sku.STLB,
 		}
-		for i := 0; i < m.nthreads; i++ {
-			w.tlbs = append(w.tlbs, tlb.New(geom))
+		for i := range w.threads {
+			w.threads[i].tlb = tlb.New(geom)
 		}
 	}
 	return w
@@ -300,30 +308,49 @@ func (m *Machine) replay(simMem, simTLB bool) (memHalf, tlb.Stats) {
 	w := m.newWindow(simMem, simTLB)
 	if simMem {
 		mSimMemPasses.Inc()
-		w.prefill()
-		ager := rng.New(m.seed ^ 0xa6e5)
-		w.hier.LLCs.ScrambleAges(ager.Intn)
 	}
 	if simTLB {
 		mSimTLBPasses.Inc()
 	}
-	w.runWindow(warmupInstr)
+	return w.run(warmupInstr, measureInstr)
+}
+
+// run warms the window up for warmup instructions per thread, then
+// measures measure more and returns the halves it simulated. The
+// window counts in windowsRunning from its prefill to its last pass.
+func (w *window) run(warmup, measure int) (memHalf, tlb.Stats) {
+	windowsRunning.Add(1)
+	defer windowsRunning.Add(-1)
+	if w.hier != nil {
+		w.prefill()
+		ager := rng.New(w.m.seed ^ 0xa6e5)
+		w.hier.LLCs.ScrambleAges(ager.Intn)
+	}
+	w.runWindow(warmup)
 	w.resetStats()
-	switches := w.runWindow(measureInstr)
+	switches := w.runWindow(measure)
 
 	var mh memHalf
-	if simMem {
-		mh = memHalf{cache: w.hier.Stats(), tally: w.tally, switches: switches}
-		for _, p := range w.pfs {
-			s := p.Stats()
-			mh.pf.Issued += s.Issued
-			mh.pf.Moved += s.Moved
-			mh.pf.FromMemory += s.FromMemory
+	if w.hier != nil {
+		mh = memHalf{cache: w.hier.Stats(), switches: switches}
+		for _, th := range w.threads {
+			mh.pf.Add(th.pf.Stats())
+			for lvl, n := range th.tally {
+				mh.tally[lvl][0] += n[0]
+				mh.tally[lvl][1] += n[1]
+			}
 		}
+		mh.pf.Add(prefetch.LLCStats(&w.llcOut))
+		o := &w.llcOut
+		mh.tally[cache.LLC] = [2]uint64{o[cache.LLCLoad][1], o[cache.LLCStore][1]}
+		mh.tally[cache.Memory] = [2]uint64{o[cache.LLCLoad][0], o[cache.LLCStore][0]}
 	}
 	var ts tlb.Stats
-	for _, t := range w.tlbs {
-		s := t.Stats()
+	for _, th := range w.threads {
+		if th.tlb == nil {
+			break
+		}
+		s := th.tlb.Stats()
 		ts.Fetches += s.Fetches
 		ts.FetchMisses += s.FetchMisses
 		ts.Loads += s.Loads
@@ -383,70 +410,20 @@ func (m *Machine) compose(mh *memHalf, ts *tlb.Stats) *WindowRates {
 	return r
 }
 
-// runWindow advances every thread by instrPerThread instructions in
-// interleaved chunks, feeding each chunk of the stream to the halves
-// the window simulates, and returns the number of context switches
-// injected.
-func (w *window) runWindow(instrPerThread int) uint64 {
-	m := w.m
-	// Context-switch interval in instructions, from the profile's
-	// per-core switch rate at this core frequency (IPC≈1 estimate; the
-	// induced error is second-order). ctxSwitchInterval clamps to ≥1,
-	// so an extreme switch rate means a switch every chunk instead of
-	// the divide-by-zero interval==0 used to cause below.
-	interval := ctxSwitchInterval(m.srv.Config().CoreFreqMHz, m.prof.CtxSwitchRate)
-	var switches uint64
-	buf := make([]workload.Access, 0, windowChunk*2)
-	hier, pages, tally := w.hier, &w.pages, &w.tally
-	for done := 0; done < instrPerThread; done += windowChunk {
-		n := min(windowChunk, instrPerThread-done)
-		switchNow := done/interval != (done+n)/interval
-		for ti := range w.thr {
-			buf = w.thr[ti].Generate(buf[:0], n)
-			// The halves share no state, so each takes the chunk in
-			// turn.
-			if hier != nil {
-				pf := w.pfs[ti]
-				for i := range buf {
-					a := &buf[i]
-					lvl := hier.Access(ti, a.Addr, a.Kind)
-					if a.Kind == cache.Data {
-						st := 0
-						if a.Type == tlb.Store {
-							st = 1
-						}
-						tally[lvl][st]++
-					}
-					pf.OnAccess(a.Addr, a.Kind, a.IP, lvl)
-				}
-			}
-			if w.tlbs != nil {
-				t := w.tlbs[ti]
-				for i := range buf {
-					a := &buf[i]
-					page, huge := pages.PageOf(int(a.Region), a.Addr)
-					t.Access(page, huge, a.Type)
-				}
-			}
-			if switchNow {
-				w.thr[ti].SwitchPool()
-				switches++
-			}
-		}
-	}
-	return switches
-}
-
 func (w *window) resetStats() {
-	w.tally = [4][2]uint64{}
+	w.llcOut = cache.LLCOutcomes{}
 	if w.hier != nil {
 		w.hier.ResetStats()
 	}
-	for _, p := range w.pfs {
-		p.ResetStats()
-	}
-	for _, t := range w.tlbs {
-		t.ResetStats()
+	for i := range w.threads {
+		th := &w.threads[i]
+		th.tally = [2][2]uint64{}
+		if th.pf != nil {
+			th.pf.ResetStats()
+		}
+		if th.tlb != nil {
+			th.tlb.ResetStats()
+		}
 	}
 }
 
@@ -599,22 +576,14 @@ func WindowThreads(cores int) int {
 	return n
 }
 
-// PredictCtxSwitches replays runWindow's chunk-boundary arithmetic over
-// one measurement window (same windowChunk) without executing it: the number of context
-// switches a window at this core frequency and per-core switch rate
-// will inject. Exact, including the interval clamping and chunk
-// quantization.
+// PredictCtxSwitches returns, without running it, the number of
+// context switches one measurement window at this core frequency and
+// per-core switch rate injects: the same chunk arithmetic runWindow
+// uses (chunkSwitches), so it is exact, including the interval
+// clamping and chunk quantization.
 func PredictCtxSwitches(cores int, coreFreqMHz int, ratePerSec float64) uint64 {
 	interval := ctxSwitchInterval(coreFreqMHz, ratePerSec)
-	nthreads := WindowThreads(cores)
-	var switches uint64
-	for done := 0; done < measureInstr; done += windowChunk {
-		n := min(windowChunk, measureInstr-done)
-		if done/interval != (done+n)/interval {
-			switches += uint64(nthreads)
-		}
-	}
-	return switches
+	return uint64(WindowThreads(cores)) * chunkSwitches(measureInstr, interval)
 }
 
 // SHPPressureMissPerMiB exposes the reserved-but-unused SHP memory

@@ -66,9 +66,13 @@ echo "== reference fuzz =="
 # coverage input may take 60 s by default, which stalled whole runs at
 # a dozen execs, so it is capped at 1 s. A failing input is written
 # under the package's testdata/fuzz/ and replays in every later go test.
+# FuzzDeferredLLCMatchesImmediate is the oracle of the window's stages
+# (DESIGN.md §11): cores whose private levels run ahead and whose logged
+# LLC ops are applied later must end exactly as the immediate hierarchy.
 for target in \
 	FuzzCacheMatchesReference:./internal/cache \
 	FuzzEngineMatchesReference:./internal/prefetch \
+	FuzzDeferredLLCMatchesImmediate:./internal/prefetch \
 	FuzzAnalyzeMatchesReference:./internal/cpu \
 	FuzzSolveMatchesReference:./internal/sim \
 	FuzzReadJSONL:./internal/decision \
