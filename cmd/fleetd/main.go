@@ -35,7 +35,7 @@ func main() {
 		parallel  = flag.Int("parallel", 0, "trial worker count inside re-tunes; output is seed-deterministic at any value (0: GOMAXPROCS)")
 		driftRate = flag.Float64("drift-rate", 0.04, "per-pool per-epoch probability of a real workload shift")
 		tuneMax   = flag.Int("tune-samples", 120, "per-arm sample cap for drift-chasing A/B trials")
-		tuneSrch  = flag.String("tune-search", "independent", "re-tune optimizer: independent | hill | halving | cem")
+		tuneSrch  = flag.String("tune-search", "independent", "re-tune optimizer: independent | hill")
 		tuneTwin  = flag.Bool("tune-twin", false, "arm the analytical-twin fidelity ladder inside re-tunes of any -tune-search, the default independent sweep included (prunes predicted-losing arms before any window runs)")
 		decOut    = flag.String("ledger-out", "", "write the soak's decision ledger as JSONL (replay with skutrace)")
 		jsonOut   = flag.Bool("json", false, "emit the soak report as JSON instead of text")
@@ -54,7 +54,10 @@ func main() {
 	cfg.TuneMinSamples = 40
 	cfg.TuneMaxSamples = *tuneMax
 	if *tuneSrch != "independent" {
-		mode, err := core.ParseSweepMode(*tuneSrch, true)
+		mode, err := core.ParseSweepMode(*tuneSrch)
+		if err == nil && mode != core.SweepHillClimb {
+			err = fmt.Errorf("unknown -tune-search %q (want independent or hill)", *tuneSrch)
+		}
 		if err != nil {
 			fatal(err)
 		}

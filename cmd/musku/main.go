@@ -8,8 +8,8 @@
 //
 //	musku -input tune.conf
 //	musku -service Web -platform Skylake18 [-sweep independent] [-metric mips]
-//	musku -service Web -search halving    # adaptive optimizer: hill | halving | cem
-//	musku -service Web -search halving -twin  # twin-pruned search (fewer windows, same SKU)
+//	musku -service Web -sweep hill         # §7's hill climber
+//	musku -service Web -sweep hill -twin   # twin-pruned climb (fewer windows)
 //	musku -service Web -validate 3
 //	musku -service Web -chaos -chaos-seed 7 -guardrail-pct 2
 //
@@ -17,7 +17,7 @@
 //
 //	microservice = Web
 //	platform     = Skylake18        # defaults to the service's fleet placement
-//	sweep        = independent      # independent | exhaustive | hillclimb | halving | cem
+//	sweep        = independent      # independent | exhaustive | hillclimb
 //	metric       = mips             # mips | qps
 //	knobs        = cdp, thp, shp    # defaults to every applicable knob
 //	seed         = 1
@@ -48,8 +48,7 @@ func main() {
 		inputPath  = flag.String("input", "", "µSKU input file (overrides the other flags)")
 		service    = flag.String("service", "", "target microservice (Web, Feed1, ..., Cache2)")
 		platName   = flag.String("platform", "", "hardware platform (default: the service's fleet placement)")
-		sweep      = flag.String("sweep", "independent", "sweep mode: independent | exhaustive | hillclimb | halving | cem")
-		search     = flag.String("search", "", "adaptive optimizer: hill | halving | cem (overrides -sweep)")
+		sweep      = flag.String("sweep", "independent", "sweep mode: independent | exhaustive | hillclimb (or hill)")
 		metric     = flag.String("metric", "mips", "performance metric: mips | qps")
 		knobList   = flag.String("knobs", "", "comma-separated knob subset (default: all applicable)")
 		seed       = flag.Uint64("seed", 1, "workload seed")
@@ -76,7 +75,7 @@ func main() {
 		fatal(fmt.Errorf("-sim-cache must be on or off, got %q", *simCache))
 	}
 
-	in, err := buildInput(*inputPath, *service, *platName, *sweep, *search, *metric, *knobList, *seed, *maxSamples, *parallel, *twin)
+	in, err := buildInput(*inputPath, *service, *platName, *sweep, *metric, *knobList, *seed, *maxSamples, *parallel, *twin)
 	if err != nil {
 		fatal(err)
 	}
@@ -145,7 +144,7 @@ func main() {
 	fmt.Printf("vs stock:      %s\n", res.VsStock)
 	if res.ExhaustiveBest != 0 {
 		// The optimizer's own estimate: best single measurement for
-		// exhaustive/halving/cem, accepted moves compounded for hillclimb.
+		// exhaustive, accepted moves compounded for hillclimb.
 		fmt.Printf("search gain:   %+.2f%% (optimizer's estimate vs production)\n", res.ExhaustiveBest)
 	}
 	fmt.Printf("reboots:       %d   virtual tuning time: %.1f h\n\n", res.Reboots, res.VirtualHours)
@@ -180,7 +179,7 @@ func serveWait(obs *telemetry.CLI) {
 	obs.Wait()
 }
 
-func buildInput(path, service, plat, sweep, search, metric, knobList string, seed uint64, maxSamples, parallel int, twin bool) (softsku.TuneInput, error) {
+func buildInput(path, service, plat, sweep, metric, knobList string, seed uint64, maxSamples, parallel int, twin bool) (softsku.TuneInput, error) {
 	if path != "" {
 		text, err := os.ReadFile(path)
 		if err != nil {
@@ -194,11 +193,6 @@ func buildInput(path, service, plat, sweep, search, metric, knobList string, see
 	// Reuse the file parser so flag and file semantics stay identical.
 	text := fmt.Sprintf("microservice = %s\nsweep = %s\nmetric = %s\nseed = %d\n",
 		service, sweep, metric, seed)
-	if search != "" {
-		// Later lines win, so -search overrides -sweep through the same
-		// parser path ("search" accepts only the adaptive optimizers).
-		text += "search = " + search + "\n"
-	}
 	if plat != "" {
 		text += "platform = " + plat + "\n"
 	}

@@ -9,7 +9,7 @@ import (
 )
 
 func TestBuildInputFromFlags(t *testing.T) {
-	in, err := buildInput("", "Web", "Skylake18", "hillclimb", "", "qps", "thp,shp", 9, 2500, 4, true)
+	in, err := buildInput("", "Web", "Skylake18", "hillclimb", "qps", "thp,shp", 9, 2500, 4, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestBuildInputFromFile(t *testing.T) {
 	if err := os.WriteFile(path, []byte("microservice = Ads1\nsweep = exhaustive\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	in, err := buildInput(path, "", "", "", "", "", "", 0, 0, 0, false)
+	in, err := buildInput(path, "", "", "", "", "", 0, 0, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,30 +45,13 @@ func TestBuildInputFromFile(t *testing.T) {
 }
 
 func TestBuildInputErrors(t *testing.T) {
-	if _, err := buildInput("", "", "", "independent", "", "mips", "", 1, 0, 0, false); err == nil {
+	if _, err := buildInput("", "", "", "independent", "mips", "", 1, 0, 0, false); err == nil {
 		t.Fatal("missing service must error")
 	}
-	if _, err := buildInput("/nonexistent/file", "", "", "", "", "", "", 1, 0, 0, false); err == nil {
+	if _, err := buildInput("/nonexistent/file", "", "", "", "", "", 1, 0, 0, false); err == nil {
 		t.Fatal("missing file must error")
 	}
-	if _, err := buildInput("", "Web", "", "bogus", "", "mips", "", 1, 0, 0, false); err == nil {
+	if _, err := buildInput("", "Web", "", "bogus", "mips", "", 1, 0, 0, false); err == nil {
 		t.Fatal("bad sweep must error")
-	}
-	if _, err := buildInput("", "Web", "", "independent", "exhaustive", "mips", "", 1, 0, 0, false); err == nil {
-		t.Fatal("-search must reject non-adaptive modes")
-	}
-}
-
-func TestBuildInputSearchOverridesSweep(t *testing.T) {
-	for flag, want := range map[string]string{
-		"hill": "hillclimb", "halving": "halving", "cem": "cem",
-	} {
-		in, err := buildInput("", "Web", "", "independent", flag, "mips", "", 1, 0, 0, false)
-		if err != nil {
-			t.Fatalf("-search %s: %v", flag, err)
-		}
-		if got := in.Sweep.String(); got != want {
-			t.Fatalf("-search %s: sweep = %s, want %s", flag, got, want)
-		}
 	}
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -58,11 +59,23 @@ func runCmd(args ...string) (int, string, string) {
 
 func TestTreeRendersCausality(t *testing.T) {
 	path := writeFixtureLedger(t, t.TempDir(), "a.jsonl", nil)
+	// A ledger recorded by a since-deleted searcher carries an event kind
+	// that no longer exists; it must still read, and render under its own
+	// kind name.
+	const oldKind = "rung_advanced"
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintf(f, `{"seq":5,"parent":1,"kind":%q,"samples":1500,"detail":"arms=16 survivors=8"}`+"\n", oldKind)
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
 	code, out, errs := runCmd("tree", path)
 	if code != 0 {
 		t.Fatalf("tree exited %d: %s", code, errs)
 	}
-	for _, want := range []string{"run Web on Skylake18", "sweep thp", "accepted thp=always"} {
+	for _, want := range []string{"run Web on Skylake18", "sweep thp", "accepted thp=always", "    #5    " + oldKind} {
 		if !strings.Contains(out, want) {
 			t.Errorf("tree output missing %q:\n%s", want, out)
 		}

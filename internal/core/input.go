@@ -30,15 +30,6 @@ const (
 	SweepExhaustive
 	// SweepHillClimb greedily walks the space (§7's suggested heuristic).
 	SweepHillClimb
-	// SweepHalving races a sampled population of cross-knob configs on
-	// shortened characterization windows, keeping the top half per rung
-	// and lengthening windows as the field narrows (successive halving
-	// — early-stopping of clearly-losing arms).
-	SweepHalving
-	// SweepCEM runs a cross-entropy-method population search: sample
-	// configurations from per-knob categorical distributions, refit the
-	// distributions on the elite fraction each generation.
-	SweepCEM
 )
 
 // String names the mode as written in input files.
@@ -50,38 +41,23 @@ func (m SweepMode) String() string {
 		return "exhaustive"
 	case SweepHillClimb:
 		return "hillclimb"
-	case SweepHalving:
-		return "halving"
-	case SweepCEM:
-		return "cem"
 	default:
 		return fmt.Sprintf("sweep(%d)", int(m))
 	}
 }
 
 // ParseSweepMode parses a sweep-mode name as written in input files
-// and flags. searchOnly restricts the accepted set to the adaptive
-// searchers (the `-search` flag's vocabulary, which also admits the
-// short form "hill").
-func ParseSweepMode(val string, searchOnly bool) (SweepMode, error) {
+// and flags; "hill" is short for hillclimb.
+func ParseSweepMode(val string) (SweepMode, error) {
 	switch strings.ToLower(val) {
+	case "independent":
+		return SweepIndependent, nil
+	case "exhaustive":
+		return SweepExhaustive, nil
 	case "hill", "hillclimb", "hill-climb", "hill_climb":
 		return SweepHillClimb, nil
-	case "halving", "successive-halving":
-		return SweepHalving, nil
-	case "cem", "population":
-		return SweepCEM, nil
 	}
-	if !searchOnly {
-		switch strings.ToLower(val) {
-		case "independent":
-			return SweepIndependent, nil
-		case "exhaustive":
-			return SweepExhaustive, nil
-		}
-		return SweepIndependent, fmt.Errorf("unknown sweep %q", val)
-	}
-	return SweepIndependent, fmt.Errorf("unknown search %q (want hill, halving, or cem)", val)
+	return SweepIndependent, fmt.Errorf("unknown sweep %q (want independent, exhaustive, or hillclimb)", val)
 }
 
 // Metric selects the performance estimate µSKU optimizes (§4: MIPS by
@@ -146,7 +122,7 @@ func DefaultInput(service, platform string) Input {
 
 // ParseInput reads the µSKU input-file format: one "key = value" pair
 // per line, '#' comments. Recognized keys: microservice, platform,
-// sweep (or search), metric, knobs (comma-separated), seed,
+// sweep, metric, knobs (comma-separated), seed,
 // max_samples, parallel, twin (on/off).
 func ParseInput(text string) (Input, error) {
 	in := Input{Sweep: SweepIndependent, Metric: MetricMIPS, Seed: 1, AB: abtest.DefaultConfig()}
@@ -173,12 +149,8 @@ func ParseInput(text string) (Input, error) {
 			in.Microservice = val
 		case "platform":
 			in.Platform = val
-		case "sweep", "search":
-			// "search" is the flag-facing alias (musku -search): it names
-			// only the adaptive optimizers, with "hill" accepted for
-			// hillclimb; "sweep" keeps the paper's vocabulary and accepts
-			// every mode.
-			mode, err := ParseSweepMode(val, key == "search")
+		case "sweep":
+			mode, err := ParseSweepMode(val)
 			if err != nil {
 				return in, fmt.Errorf("core: input line %d: %v", lineNo, err)
 			}

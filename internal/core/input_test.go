@@ -70,7 +70,7 @@ func TestParseInputErrors(t *testing.T) {
 }
 
 func TestParseInputSweepModes(t *testing.T) {
-	for _, m := range []string{"independent", "exhaustive", "hillclimb", "halving", "cem"} {
+	for _, m := range []string{"independent", "exhaustive", "hillclimb"} {
 		in, err := ParseInput("microservice = Web\nsweep = " + m)
 		if err != nil {
 			t.Fatal(err)
@@ -79,57 +79,50 @@ func TestParseInputSweepModes(t *testing.T) {
 			t.Fatalf("round trip %q -> %v", m, in.Sweep)
 		}
 	}
+	_, err := ParseInput("microservice = Web\nsweep = cem")
+	if err == nil || !strings.Contains(err.Error(), "want independent, exhaustive, or hillclimb") {
+		t.Fatalf("sweep = cem: %v; want an error listing the valid modes", err)
+	}
 }
 
 func TestParseSweepMode(t *testing.T) {
 	cases := []struct {
-		val        string
-		searchOnly bool
-		want       SweepMode
-		err        bool
+		val  string
+		want SweepMode
+		err  bool
 	}{
-		{"hill", true, SweepHillClimb, false},
-		{"hill-climb", true, SweepHillClimb, false},
-		{"hill_climb", false, SweepHillClimb, false},
-		{"HALVING", true, SweepHalving, false},
-		{"successive-halving", false, SweepHalving, false},
-		{"cem", true, SweepCEM, false},
-		{"population", true, SweepCEM, false},
-		{"independent", false, SweepIndependent, false},
-		{"exhaustive", false, SweepExhaustive, false},
-		// The search vocabulary admits only the adaptive optimizers.
-		{"independent", true, 0, true},
-		{"exhaustive", true, 0, true},
-		{"bogus", true, 0, true},
-		{"bogus", false, 0, true},
+		{"hill", SweepHillClimb, false},
+		{"hill-climb", SweepHillClimb, false},
+		{"hill_climb", SweepHillClimb, false},
+		{"HillClimb", SweepHillClimb, false},
+		{"independent", SweepIndependent, false},
+		{"exhaustive", SweepExhaustive, false},
+		{"halving", 0, true},
+		{"cem", 0, true},
+		{"population", 0, true},
+		{"bogus", 0, true},
 	}
 	for _, c := range cases {
-		got, err := ParseSweepMode(c.val, c.searchOnly)
+		got, err := ParseSweepMode(c.val)
 		if c.err {
 			if err == nil {
-				t.Errorf("ParseSweepMode(%q, %v): expected error", c.val, c.searchOnly)
+				t.Errorf("ParseSweepMode(%q): expected error", c.val)
 			}
 			continue
 		}
 		if err != nil || got != c.want {
-			t.Errorf("ParseSweepMode(%q, %v) = %v, %v; want %v", c.val, c.searchOnly, got, err, c.want)
+			t.Errorf("ParseSweepMode(%q) = %v, %v; want %v", c.val, got, err, c.want)
 		}
 	}
 }
 
-// TestParseInputSearchKey: the "search" key is the flag-facing alias —
-// it accepts the adaptive optimizers (with the "hill" short form) and
-// rejects the non-adaptive sweep modes.
+// TestParseInputSearchKey: "sweep" is the input file's only mode key;
+// a file that still names a mode under "search" fails as an unknown
+// key rather than silently running the default sweep.
 func TestParseInputSearchKey(t *testing.T) {
-	in, err := ParseInput("microservice = Web\nsearch = hill")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if in.Sweep != SweepHillClimb {
-		t.Fatalf("search = hill -> %v", in.Sweep)
-	}
-	if _, err := ParseInput("microservice = Web\nsearch = independent"); err == nil {
-		t.Fatal("search key must reject non-adaptive modes")
+	_, err := ParseInput("microservice = Web\nsearch = hill")
+	if err == nil || !strings.Contains(err.Error(), `unknown key "search"`) {
+		t.Fatalf("search = hill: %v; want an unknown-key error", err)
 	}
 }
 
@@ -140,12 +133,12 @@ func TestParseInputSearchKey(t *testing.T) {
 // (or the same error).
 func FuzzParseInput(f *testing.F) {
 	for _, seed := range []string{
-		"microservice = Web\nplatform     = Skylake18\nsweep        = independent   # independent | exhaustive | hillclimb | halving | cem\n" +
+		"microservice = Web\nplatform     = Skylake18\nsweep        = independent   # independent | exhaustive | hillclimb\n" +
 			"metric       = mips          # mips | qps  (Cache requires qps, §4)\nknobs        = cdp, thp, shp # optional subset\n" +
 			"seed         = 1\nparallel     = 4             # trial workers; 0 = GOMAXPROCS\n",
 		"# µSKU input file\nmicroservice = Web\nplatform = Skylake18\nsweep = independent\nmetric = mips\nknobs = thp, shp\nseed = 42\nmax_samples = 5000\n",
 		"microservice = Ads1\nsweep = exhaustive\n",
-		"microservice = Web\nsearch = hill\ntwin = on\nmetric = perf/watt\n",
+		"microservice = Web\nsweep = hill\ntwin = on\nmetric = perf/watt\n",
 		"microservice = Web\nknobs = voltage",
 		"microservice Web",
 	} {

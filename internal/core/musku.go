@@ -13,6 +13,7 @@ import (
 	"softsku/internal/rng"
 	"softsku/internal/sim"
 	"softsku/internal/telemetry"
+	"softsku/internal/twin"
 	"softsku/internal/workload"
 )
 
@@ -87,12 +88,12 @@ type Result struct {
 	VirtualHours float64 // virtual measurement time consumed
 	// ExhaustiveBest is the searcher's own estimate of the winner's
 	// gain over the baseline, in percent (Searcher.Best): the best
-	// single measurement for exhaustive/halving/cem, the accepted moves
-	// compounded multiplicatively for hillclimb (each round measures
-	// against the previous winner, so per-round deltas chain as factors
-	// — +2% on +2% is +4.04%, not +4%). Zero for the independent sweep:
-	// its knobs were each measured alone, so their deltas make no
-	// estimate for the composition.
+	// single measurement for exhaustive, the accepted moves compounded
+	// multiplicatively for hillclimb (each round measures against the
+	// previous winner, so per-round deltas chain as factors — +2% on
+	// +2% is +4.04%, not +4%). Zero for the independent sweep: its
+	// knobs were each measured alone, so their deltas make no estimate
+	// for the composition.
 	ExhaustiveBest float64
 
 	// Degradation record when running under fault injection: candidate
@@ -128,7 +129,9 @@ type Tool struct {
 	decRoot   int              // run_started seq; -1 outside a recorded run
 	decParent int              // causal parent for run_started (-1: ledger root)
 
-	eval Evaluator // nil: measure every validated arm (no ladder)
+	// eval is the tiered-fidelity ladder (DESIGN.md §16); nil measures
+	// every validated arm.
+	eval *twin.Evaluator
 }
 
 // New builds a µSKU tool from an input file. It rejects MIPS-metric
@@ -343,10 +346,6 @@ func (t *Tool) Run() (*Result, error) {
 		s, err = newExhaustiveSearcher(t)
 	case SweepHillClimb:
 		s = newHillSearcher(t)
-	case SweepHalving:
-		s = newHalvingSearcher(t)
-	case SweepCEM:
-		s = newCEMSearcher(t)
 	default:
 		err = fmt.Errorf("core: unknown sweep mode %v", t.in.Sweep)
 	}

@@ -189,7 +189,7 @@ func TestSearchBudgetExhaustedEvent(t *testing.T) {
 	}
 }
 
-// searchLedgerAt mirrors ledgerAt for the adaptive searchers: run one
+// searchLedgerAt mirrors ledgerAt for the hill climber: run one
 // tuning pass in the given mode and return the serialized ledger, the
 // winning configuration, and the progress log.
 func searchLedgerAt(t *testing.T, mode SweepMode, par int, withChaos bool) ([]byte, string, string) {
@@ -226,12 +226,12 @@ func searchLedgerAt(t *testing.T, mode SweepMode, par int, withChaos bool) ([]by
 }
 
 // TestSearcherLedgerBitIdentical extends the flight recorder's
-// acceptance test to every pluggable searcher: winner, progress log,
+// acceptance test to the multi-round hill climber: winner, progress log,
 // and ledger bytes must be identical at -parallel 1 and -parallel 8,
 // with and without a chaos engine attached. This is the determinism
 // contract each Searcher inherits from the runSearch driver.
 func TestSearcherLedgerBitIdentical(t *testing.T) {
-	for _, mode := range []SweepMode{SweepHillClimb, SweepHalving, SweepCEM} {
+	for _, mode := range []SweepMode{SweepHillClimb} {
 		for _, withChaos := range []bool{false, true} {
 			name := mode.String() + "/plain"
 			if withChaos {
@@ -258,24 +258,14 @@ func TestSearcherLedgerBitIdentical(t *testing.T) {
 	}
 }
 
-// TestSearchRNGStreamsDoNotAlias asserts the searchers' label schemes
-// never collapse two distinct streams onto one seed: population
-// sampling, CEM generations, and every plausible trial label must
-// derive pairwise-distinct rng roots from the same run seed (label
-// schemes are observable behavior — see DESIGN.md §10).
+// TestSearchRNGStreamsDoNotAlias asserts the hill climber's label
+// scheme never collapses two distinct streams onto one seed: every
+// plausible trial label must derive pairwise-distinct rng roots from
+// the same run seed (label schemes are observable behavior — see
+// DESIGN.md §10).
 func TestSearchRNGStreamsDoNotAlias(t *testing.T) {
 	var labels []string
-	labels = append(labels, "search/halving/population")
-	for g := 0; g < cemGenerations; g++ {
-		labels = append(labels, fmt.Sprintf("search/cem/gen/%d", g))
-	}
 	for round := 0; round < 6; round++ {
-		for arm := 0; arm < halvingPopulation; arm++ {
-			labels = append(labels, fmt.Sprintf("halving/%d/%d", round, arm))
-		}
-		for arm := 0; arm < cemPopulation; arm++ {
-			labels = append(labels, fmt.Sprintf("cem/%d/%d", round, arm))
-		}
 		for _, id := range []knob.ID{knob.THP, knob.SHP, knob.CoreFreq} {
 			for ni := 0; ni < 7; ni++ {
 				labels = append(labels, fmt.Sprintf("hill/%d/%s/%d", round, id, ni))

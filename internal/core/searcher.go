@@ -25,9 +25,8 @@ import (
 //     fixed order.
 //
 // Every sweep mode is a Searcher: the one-round independent and
-// exhaustive sweeps (searcher_sweep.go), hillSearcher (search.go),
-// halvingSearcher (searcher_halving.go), and cemSearcher
-// (searcher_cem.go). Tool.Run picks one from SweepMode.
+// exhaustive sweeps (searcher_sweep.go) and hillSearcher (search.go).
+// Tool.Run picks one from SweepMode.
 
 // SearchArm is one candidate configuration a searcher wants measured
 // against the round's control.
@@ -45,10 +44,9 @@ type SearchArm struct {
 
 // SearchGroup is one ledger group and telemetry span within a round:
 // a sweep_started event whose children are the group's trials, and the
-// span those trials nest under. Hill, halving and CEM propose one group
-// per round; the independent sweep proposes one per knob, so its
-// knobs' trials still run as one batch while decision.Replay reads one
-// winner per knob.
+// span those trials nest under. Hill proposes one group per round; the
+// independent sweep proposes one per knob, so its knobs' trials still
+// run as one batch while decision.Replay reads one winner per knob.
 type SearchGroup struct {
 	Span  string // telemetry span name, e.g. "sweep.round3"
 	Label string // ledger group label, e.g. "hill/3"
@@ -64,10 +62,6 @@ type SearchGroup struct {
 type SearchRound struct {
 	Control knob.Config // configuration every arm is measured against
 	Groups  []SearchGroup
-	// AB overrides the run's A/B budget for this round's trials —
-	// successive halving shortens early rungs with it. nil keeps the
-	// run's configuration.
-	AB *abtest.Config
 }
 
 // ArmOutcome is one arm's measurement as seen by Observe. Exactly one
@@ -97,9 +91,8 @@ type SpanAttr struct {
 // deterministically.
 type Verdict struct {
 	// Accepted marks the arms kept by this group (hill's winning move,
-	// halving's surviving half, CEM's elite fraction, a knob's winning
-	// setting); every other measured arm is recorded as rejected. nil
-	// rejects all.
+	// a knob's winning setting); every other measured arm is recorded
+	// as rejected. nil rejects all.
 	Accepted []bool
 	Attrs    []SpanAttr       // group-span annotations, in order
 	Events   []decision.Event // extra ledger events under the group
@@ -246,11 +239,6 @@ type groupRun struct {
 // order, are validated, offered to the twin ladder, charged their
 // reboots, and turned into trial specs under the group's span.
 func (t *Tool) buildRound(rd *SearchRound) ([]groupRun, []trialSpec) {
-	save := t.in.AB
-	if rd.AB != nil {
-		t.in.AB = *rd.AB
-	}
-	defer func() { t.in.AB = save }()
 	// Tiered-fidelity ladder (DESIGN.md §16): score the round's
 	// control once, then let predictions veto arms before a spec —
 	// and hence a window — exists for them. All on the serial phase,

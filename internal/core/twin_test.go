@@ -84,15 +84,18 @@ func coldTwinRun(t *testing.T, k twinRunKey) twinRunResult {
 		sim.WindowsExecuted() - wBefore, mConfigsTwinPruned.Value() - pBefore}
 }
 
-// TestTwinPrunedSearchMatchesUnpruned is the tentpole acceptance test:
-// on the four-knob Web/Skylake18 run, the twin-armed search must spend
-// strictly fewer fresh characterization windows than the unpruned run
-// of the same searcher — and still compose the identical soft SKU. The
-// margins are conservative by design: the ladder may only discard arms
-// whose predicted regression clears the rung's safety margin, so the
-// winner path is never predicted away.
+// TestTwinPrunedSearchMatchesUnpruned pins the ladder on the four-knob
+// Web/Skylake18 run: the twin-armed search must spend strictly fewer
+// fresh characterization windows than the unpruned run of the same
+// searcher, and still compose the identical soft SKU. This holds on
+// this fixture only. The ladder discards arms whose predicted
+// regression clears the rung's safety margin, and the twin's
+// worst-case errors exceed the 2.5% twin-rung margin, so it can
+// predict a winner away: on the 59-cell paper grid in EXPERIMENTS.md
+// the twin-armed independent sweep composes a worse soft SKU than the
+// unarmed one on 19 cells.
 func TestTwinPrunedSearchMatchesUnpruned(t *testing.T) {
-	for _, mode := range []SweepMode{SweepIndependent, SweepHillClimb, SweepHalving} {
+	for _, mode := range []SweepMode{SweepIndependent, SweepHillClimb} {
 		mode := mode
 		t.Run(mode.String(), func(t *testing.T) {
 			_, offSKU, offWin, _ := twinRun(t, mode, false, 1, false)

@@ -43,7 +43,6 @@ const (
 	KindRevert          Kind = "revert"
 	KindSkip            Kind = "skip"
 	KindConverged       Kind = "converged"
-	KindRungAdvanced    Kind = "rung_advanced"
 	KindBudgetExhausted Kind = "budget_exhausted"
 	KindRunFinished     Kind = "run_finished"
 	KindRolloutStarted  Kind = "rollout_started"
@@ -310,22 +309,9 @@ func TwinPruned(knob, setting, label string, predictedDeltaPct, marginPct float6
 }
 
 // Converged records a search round in which the optimizer decided to
-// stop: a hill-climb round with no winning neighbour, the last
-// successive-halving rung, or a stalled CEM generation.
+// stop: a hill-climb round with no winning neighbour.
 func Converged(detail string) Event {
 	return Event{Kind: KindConverged, Detail: detail}
-}
-
-// RungAdvanced records one successive-halving rung: how many arms
-// raced, how many survived into the next rung, and the per-arm sample
-// cap the rung ran under. Parent it to the rung's sweep_started event.
-func RungAdvanced(rung, arms, survivors, maxSamples int) Event {
-	return Event{
-		Kind:    KindRungAdvanced,
-		Wave:    rung,
-		Samples: maxSamples,
-		Detail:  fmt.Sprintf("arms=%d survivors=%d", arms, survivors),
-	}
 }
 
 // BudgetExhausted records a search that ran out of round budget before

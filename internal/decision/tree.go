@@ -45,8 +45,6 @@ func (e Event) Summary() string {
 		return fmt.Sprintf("skipped %s (%s): %s", e.Setting, e.Label, e.Detail)
 	case KindConverged:
 		return "converged: " + e.Detail
-	case KindRungAdvanced:
-		return fmt.Sprintf("rung %d advanced (%s, cap %d samples/arm)", e.Wave, e.Detail, e.Samples)
 	case KindBudgetExhausted:
 		return fmt.Sprintf("%s budget exhausted after %d rounds (%s)", e.Label, e.Wave, e.Detail)
 	case KindRunFinished:

@@ -145,8 +145,8 @@ type Config struct {
 	TuneConfidence float64
 	// TuneSweep selects the re-tune optimizer. The zero value is
 	// core.SweepIndependent (the paper's mode and the historical
-	// behavior); the adaptive searchers (hillclimb, halving, cem) trade
-	// more trial rounds for cross-knob coverage.
+	// behavior); hillclimb trades more trial rounds for cross-knob
+	// coverage.
 	TuneSweep core.SweepMode
 	// TuneTwin arms the analytical-twin fidelity ladder inside every
 	// re-tune (DESIGN.md §16), whatever TuneSweep is — the default

@@ -40,8 +40,8 @@ const (
 // candidate configurations without running characterization windows,
 // answering from the cheapest rung that can — the calibrated analytical
 // twin, or an exact repricing of a window the process-wide simcache
-// already holds. It satisfies the search layer's core.Evaluator
-// interface structurally; twin never imports core.
+// already holds. The search layer (core) holds one per twin-armed run;
+// twin never imports core.
 //
 // Not safe for concurrent use. The search layer calls it only from
 // serial phases (spec building, post-merge), which is also what makes

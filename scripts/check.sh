@@ -111,8 +111,8 @@ echo "== sim-cache half-memoization smoke =="
 # thp,shp run above never reaches: a memory-only replay (a prefetch
 # arm whose TLB half is memoized) and no replay at all (both halves
 # memoized by earlier arms). The cache must stay invisible there too.
-cached=$(go run ./cmd/musku -service Web -knobs thp,shp,prefetch -search hill -max-samples 1500 -seed 3 -q -json)
-uncached=$(go run ./cmd/musku -service Web -knobs thp,shp,prefetch -search hill -max-samples 1500 -seed 3 -q -json -sim-cache=off)
+cached=$(go run ./cmd/musku -service Web -knobs thp,shp,prefetch -sweep hill -max-samples 1500 -seed 3 -q -json)
+uncached=$(go run ./cmd/musku -service Web -knobs thp,shp,prefetch -sweep hill -max-samples 1500 -seed 3 -q -json -sim-cache=off)
 if [ "$cached" != "$uncached" ]; then
 	echo "sim-cache half smoke: cached and uncached hill climbs diverged" >&2
 	echo "--- cached ---" >&2
@@ -206,30 +206,25 @@ sed -n 's/^state:  */fleet soak: /p' "$soakdir/a.txt"
 rm -rf "$soakdir"
 
 echo "== adaptive search smoke =="
-# A tiny successive-halving tune, run twice at different -parallel
-# counts: both runs must find the same soft SKU and write byte-
-# identical decision ledgers (the Searcher determinism contract, end
-# to end through the CLI), and the ledger must carry the halving-
-# specific rung_advanced events plus a clean run_finished.
+# A tiny hill-climb tune, run twice at different -parallel counts:
+# both runs must find the same soft SKU and write byte-identical
+# decision ledgers (the Searcher determinism contract, end to end
+# through the CLI), and the ledger must carry a clean run_finished.
 srchdir=$(mktemp -d)
 go build -o "$srchdir/musku" ./cmd/musku
-"$srchdir/musku" -service Web -knobs thp,shp -search halving -max-samples 1500 \
+"$srchdir/musku" -service Web -knobs thp,shp -sweep hillclimb -max-samples 1500 \
 	-parallel 1 -q -decisions-out "$srchdir/a.jsonl" >"$srchdir/a.txt"
-"$srchdir/musku" -service Web -knobs thp,shp -search halving -max-samples 1500 \
+"$srchdir/musku" -service Web -knobs thp,shp -sweep hillclimb -max-samples 1500 \
 	-parallel 8 -q -decisions-out "$srchdir/b.jsonl" >"$srchdir/b.txt"
 if ! cmp -s "$srchdir/a.jsonl" "$srchdir/b.jsonl"; then
-	echo "search smoke: same-seed halving ledgers diverged across -parallel" >&2
-	exit 1
-fi
-if ! grep -q '"kind":"rung_advanced"' "$srchdir/a.jsonl"; then
-	echo "search smoke: halving ledger has no rung_advanced events" >&2
+	echo "search smoke: same-seed hill-climb ledgers diverged across -parallel" >&2
 	exit 1
 fi
 if ! grep -q '"kind":"run_finished"' "$srchdir/a.jsonl"; then
-	echo "search smoke: halving ledger never finished" >&2
+	echo "search smoke: hill-climb ledger never finished" >&2
 	exit 1
 fi
-sed -n 's/^soft SKU:  */search smoke (halving): /p' "$srchdir/a.txt"
+sed -n 's/^soft SKU:  */search smoke (hillclimb): /p' "$srchdir/a.txt"
 rm -rf "$srchdir"
 
 echo "== twin-pruned search smoke =="
@@ -241,9 +236,9 @@ echo "== twin-pruned search smoke =="
 # answers depend on simcache state, which is fixed per process.
 twindir=$(mktemp -d)
 go build -o "$twindir/musku" ./cmd/musku
-"$twindir/musku" -service Web -knobs thp,shp,corefreq -search hill -twin \
+"$twindir/musku" -service Web -knobs thp,shp,corefreq -sweep hill -twin \
 	-max-samples 1500 -q -decisions-out "$twindir/a.jsonl" >"$twindir/a.txt"
-"$twindir/musku" -service Web -knobs thp,shp,corefreq -search hill -twin \
+"$twindir/musku" -service Web -knobs thp,shp,corefreq -sweep hill -twin \
 	-max-samples 1500 -q -decisions-out "$twindir/b.jsonl" >"$twindir/b.txt"
 if ! cmp -s "$twindir/a.jsonl" "$twindir/b.jsonl"; then
 	echo "twin smoke: same-seed twin-pruned ledgers diverged between runs" >&2
@@ -255,7 +250,7 @@ if ! grep -q '"kind":"twin_pruned"' "$twindir/a.jsonl"; then
 fi
 pruned=$(grep -c '"kind":"twin_pruned"' "$twindir/a.jsonl")
 sed -n "s/^soft SKU:  */twin smoke (hill, $pruned arms pruned): /p" "$twindir/a.txt"
-# The same check for the paper's independent sweep (no -search): it
+# The same check for the paper's independent sweep (no -sweep): it
 # runs through the same driver, so the ladder prunes its arms too.
 "$twindir/musku" -service Web -knobs thp,shp,corefreq -twin \
 	-max-samples 1500 -q -decisions-out "$twindir/c.jsonl" >"$twindir/c.txt"
