@@ -36,7 +36,7 @@ lint-fixtures:
 # The closed-loop benchmark (bench/README.md, BENCHMARK.json): every
 # workload, each in a fresh child process, end-to-end and per-layer
 # metrics into out/result-<time>.json. The paper's tables and figures
-# print with: go test -run XXX -bench . -benchtime 1x .
+# print with: go run ./cmd/characterize -tuning -ablations
 bench:
 	bash bench/run.sh
 

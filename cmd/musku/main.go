@@ -58,6 +58,7 @@ func main() {
 		validate   = flag.Int("validate", 0, "after tuning, validate across N simulated code pushes")
 		decOut     = flag.String("decisions-out", "", "write the decision ledger as JSONL (replay with skutrace)")
 		simCache   = flag.String("sim-cache", "on", "characterization cache: on | off (off re-measures every window; results are identical)")
+		guardrail  = flag.Float64("guardrail-pct", 0, "abort and revert A/B trials regressing beyond this percent (0 disables the guardrail)")
 		quiet      = flag.Bool("q", false, "suppress progress logging")
 		jsonOut    = flag.Bool("json", false, "emit the result as JSON instead of tables")
 		obs        telemetry.CLI
@@ -79,7 +80,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	in.AB.GuardrailPct = cc.GuardrailPct
+	in.AB.GuardrailPct = *guardrail
 	tool, err := softsku.NewTool(in)
 	if err != nil {
 		fatal(err)

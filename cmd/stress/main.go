@@ -15,8 +15,7 @@
 // With -chaos, each latency sample passes through the deterministic
 // fault injector the tuner is hardened against: corrupted readings are
 // printed alongside the true value and marked, showing the outliers
-// µSKU's A/B tester rejects. -guardrail-pct is accepted for flag parity
-// with musku but only affects tuning runs.
+// µSKU's A/B tester rejects.
 package main
 
 import (

@@ -35,7 +35,7 @@
 //	res, _ := softsku.Tune(in)             // run µSKU
 //	fmt.Println(res.SoftSKU)               // the composed soft SKU
 //
-// The examples/ directory contains runnable programs, and the
-// root-level benchmarks (go test -bench=.) regenerate every table and
-// figure of the paper's evaluation.
+// The examples/ directory contains runnable programs, and
+// go run ./cmd/characterize -tuning -ablations regenerates every table
+// and figure of the paper's evaluation.
 package softsku

@@ -11,21 +11,14 @@ type CLI struct {
 	// Seed drives the deterministic fault schedule (-chaos-seed): the
 	// same seed reproduces the same faults at the same points.
 	Seed uint64
-	// GuardrailPct is forwarded to the A/B tester (-guardrail-pct):
-	// abort and revert any trial regressing beyond this many percent.
-	// 0 (the default) keeps the guardrail off, preserving the exact
-	// pre-guardrail trial schedule.
-	GuardrailPct float64
 }
 
-// Flags registers -chaos, -chaos-seed, and -guardrail-pct.
+// Flags registers -chaos and -chaos-seed.
 func (c *CLI) Flags() {
 	flag.BoolVar(&c.Enabled, "chaos", false,
 		"enable deterministic fault injection (apply failures, dropouts, crashes, load spikes)")
 	flag.Uint64Var(&c.Seed, "chaos-seed", 1,
 		"fault-injection seed; the same seed reproduces the same fault schedule")
-	flag.Float64Var(&c.GuardrailPct, "guardrail-pct", 0,
-		"abort and revert A/B trials regressing beyond this percent (0 disables the guardrail)")
 }
 
 // Engine returns the configured injector, or nil when -chaos is off.

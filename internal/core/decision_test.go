@@ -6,41 +6,8 @@ import (
 	"fmt"
 	"testing"
 
-	"softsku/internal/chaos"
 	"softsku/internal/decision"
-	"softsku/internal/knob"
 )
-
-// ledgerAt runs a full tuning pass with the flight recorder attached
-// and returns the ledger serialized as JSONL.
-func ledgerAt(t *testing.T, par int, withChaos bool) []byte {
-	t.Helper()
-	var in Input
-	if withChaos {
-		in = fastInput("Web", "Skylake18", knob.THP, knob.CoreFreq)
-		in.AB.GuardrailPct = 1
-	} else {
-		in = fastInput("Web", "Skylake18", knob.THP, knob.SHP)
-	}
-	in.Parallel = par
-	tool, err := New(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if withChaos {
-		tool.SetChaos(chaos.New(42, chaos.DefaultConfig()))
-	}
-	led := decision.NewLedger()
-	tool.SetRecorder(led)
-	if _, err := tool.Run(); err != nil {
-		t.Fatal(err)
-	}
-	var b bytes.Buffer
-	if err := led.WriteJSONL(&b); err != nil {
-		t.Fatal(err)
-	}
-	return b.Bytes()
-}
 
 // Golden SHA-256 digests of the independent sweep's ledgers, recorded
 // on the hand-written sweep loop before the sweep moved behind the
@@ -58,7 +25,8 @@ func ledgerDigest(b []byte) string { return fmt.Sprintf("%x", sha256.Sum256(b)) 
 // the ledger two runs of the same core.Input and seed write must be
 // byte-identical at -parallel 1 and -parallel 8, with and without a
 // chaos engine attached — recording must ride the deterministic merge
-// phase, never the scheduler — and must match the pinned digest.
+// phase, never the scheduler — and must match the pinned digest. The
+// two runs are coldRunAt's, which the parallel equivalence tests share.
 func TestLedgerBitIdentical(t *testing.T) {
 	for _, withChaos := range []bool{false, true} {
 		name, golden := "plain", goldenLedgerPlain
@@ -66,8 +34,8 @@ func TestLedgerBitIdentical(t *testing.T) {
 			name, golden = "chaos", goldenLedgerChaos
 		}
 		t.Run(name, func(t *testing.T) {
-			serial := ledgerAt(t, 1, withChaos)
-			par := ledgerAt(t, 8, withChaos)
+			serial := coldRunAt(t, true, 1, withChaos).ledger
+			par := coldRunAt(t, true, 8, withChaos).ledger
 			if !bytes.Equal(serial, par) {
 				t.Fatalf("ledger diverged between -parallel 1 and 8:\n%s",
 					firstLineDiff(serial, par))
@@ -99,7 +67,7 @@ func firstLineDiff(a, b []byte) string {
 // objective must report zero divergences (the replay-identity law on
 // production output, not just the synthetic fixture).
 func TestLedgerRecordsFullRunShape(t *testing.T) {
-	raw := ledgerAt(t, 4, false)
+	raw := coldRunAt(t, true, 1, false).ledger
 	events, err := decision.ReadJSONL(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatalf("ledger does not round-trip: %v", err)
@@ -150,7 +118,7 @@ func TestLedgerRecordsFullRunShape(t *testing.T) {
 // evidence (no simulator), analyze every sweep trial, and keep the
 // recorded SKU string intact for the report.
 func TestLedgerReplayP99OnRealRun(t *testing.T) {
-	raw := ledgerAt(t, 4, false)
+	raw := coldRunAt(t, true, 1, false).ledger
 	events, err := decision.ReadJSONL(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)

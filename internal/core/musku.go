@@ -114,7 +114,6 @@ type Tool struct {
 	vclock   float64
 	reboots  int
 	logW     io.Writer
-	par      int // trial worker count; <=0 means GOMAXPROCS
 
 	servers map[string]*platform.Server // treatment servers by config
 
@@ -176,7 +175,6 @@ func NewForService(in Input, prof *workload.Profile, sku *platform.SKU) (*Tool, 
 		baseline:  sim.ProductionConfig(sku, prof),
 		space:     BuildSpace(sku, prof, in.Knobs),
 		load:      loadgen.NewDiurnal(rng.Derive(in.Seed, "load/validate")),
-		par:       in.Parallel,
 		servers:   make(map[string]*platform.Server),
 		decRoot:   -1,
 		decParent: -1,
@@ -210,21 +208,11 @@ func (t *Tool) SetRecorder(l *decision.Ledger) {
 	t.decRoot = -1
 }
 
-// Recorder returns the attached decision ledger (nil if none).
-func (t *Tool) Recorder() *decision.Ledger { return t.rec }
-
 // SetRecorderParent makes the run's run_started event a child of seq
 // instead of a ledger root — the fleet controller nests each retune
 // under the epoch's drift_detected event, so one soak ledger replays as
 // a single causal tree. -1 (the default) records a root.
 func (t *Tool) SetRecorderParent(seq int) { t.decParent = seq }
-
-// SetParallel sets the trial worker count: each knob sweep's candidate
-// trials are sharded across n goroutines, with results merged in
-// design-space order so the outcome is bit-identical to a serial run
-// at the same seed. n <= 0 (the default) means GOMAXPROCS; runs under
-// a custom (non-Engine) chaos injector always use one worker.
-func (t *Tool) SetParallel(n int) { t.par = n }
 
 // SetLogger directs progress logging (nil disables it).
 func (t *Tool) SetLogger(w io.Writer) { t.logW = w }

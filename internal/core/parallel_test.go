@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"softsku/internal/chaos"
+	"softsku/internal/decision"
 	"softsku/internal/knob"
 	"softsku/internal/rng"
 	"softsku/internal/sim"
@@ -21,9 +22,12 @@ type coldRunKey struct {
 	withChaos bool
 }
 
+// coldRunResult is one run's Result, progress log, chaos fingerprint
+// ("" when chaos is off), and decision ledger as JSONL.
 type coldRunResult struct {
 	res     *Result
 	log, fp string
+	ledger  []byte
 }
 
 // coldRuns memoizes coldRunAt: a run starts from an empty
@@ -37,9 +41,9 @@ var coldRuns = struct {
 }{m: map[coldRunKey]coldRunResult{}}
 
 // coldRunAt is runAt with the characterization cache on or off and,
-// when on, emptied first. Callers must not modify the returned Result:
-// it is shared through coldRuns.
-func coldRunAt(t *testing.T, cacheOn bool, par int, withChaos bool) (*Result, string, string) {
+// when on, emptied first. Callers must not modify the returned Result
+// or ledger: they are shared through coldRuns.
+func coldRunAt(t *testing.T, cacheOn bool, par int, withChaos bool) coldRunResult {
 	t.Helper()
 	key := coldRunKey{cacheOn, par, withChaos}
 	coldRuns.Lock()
@@ -49,16 +53,15 @@ func coldRunAt(t *testing.T, cacheOn bool, par int, withChaos bool) (*Result, st
 		prev := sim.SetCharacterizationCache(cacheOn)
 		defer sim.SetCharacterizationCache(prev)
 		sim.ResetCharacterizationCache()
-		r.res, r.log, r.fp = runAt(t, par, withChaos)
+		r = runAt(t, par, withChaos)
 		coldRuns.m[key] = r
 	}
-	return r.res, r.log, r.fp
+	return r
 }
 
-// runAt executes a full tuning run at the given worker count and
-// returns the result, the captured progress log, and the chaos
-// fingerprint ("" when chaos is off).
-func runAt(t *testing.T, par int, withChaos bool) (*Result, string, string) {
+// runAt executes a full tuning run at the given worker count with the
+// flight recorder attached.
+func runAt(t *testing.T, par int, withChaos bool) coldRunResult {
 	t.Helper()
 	var in Input
 	if withChaos {
@@ -79,6 +82,8 @@ func runAt(t *testing.T, par int, withChaos bool) (*Result, string, string) {
 		eng = chaos.New(42, chaos.DefaultConfig())
 		tool.SetChaos(eng)
 	}
+	led := decision.NewLedger()
+	tool.SetRecorder(led)
 	res, err := tool.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +92,11 @@ func runAt(t *testing.T, par int, withChaos bool) (*Result, string, string) {
 	if eng != nil {
 		fp = eng.Fingerprint()
 	}
-	return res, log.String(), fp
+	var b bytes.Buffer
+	if err := led.WriteJSONL(&b); err != nil {
+		t.Fatal(err)
+	}
+	return coldRunResult{res, log.String(), fp, b.Bytes()}
 }
 
 // TestParallelSweepBitIdenticalToSerial is the tentpole acceptance
@@ -97,13 +106,13 @@ func runAt(t *testing.T, par int, withChaos bool) (*Result, string, string) {
 // characterization cache, as TestSimCacheBitIdentical's cached runs
 // do, so the two tests share them.
 func TestParallelSweepBitIdenticalToSerial(t *testing.T) {
-	serialRes, serialLog, _ := coldRunAt(t, true, 1, false)
-	parRes, parLog, _ := coldRunAt(t, true, 8, false)
-	if !reflect.DeepEqual(serialRes, parRes) {
-		t.Fatalf("parallel result diverged from serial:\nserial: %+v\nparallel: %+v", serialRes, parRes)
+	serial := coldRunAt(t, true, 1, false)
+	par := coldRunAt(t, true, 8, false)
+	if !reflect.DeepEqual(serial.res, par.res) {
+		t.Fatalf("parallel result diverged from serial:\nserial: %+v\nparallel: %+v", serial.res, par.res)
 	}
-	if serialLog != parLog {
-		t.Fatalf("parallel log diverged from serial:\n--- serial ---\n%s--- parallel ---\n%s", serialLog, parLog)
+	if serial.log != par.log {
+		t.Fatalf("parallel log diverged from serial:\n--- serial ---\n%s--- parallel ---\n%s", serial.log, par.log)
 	}
 }
 
@@ -112,18 +121,18 @@ func TestParallelSweepBitIdenticalToSerial(t *testing.T) {
 // child injectors must decouple fault streams without changing the
 // merged schedule, reverts, or composition.
 func TestParallelSweepBitIdenticalUnderChaos(t *testing.T) {
-	serialRes, serialLog, serialFP := coldRunAt(t, true, 1, true)
-	parRes, parLog, parFP := coldRunAt(t, true, 8, true)
-	if !reflect.DeepEqual(serialRes, parRes) {
-		t.Fatalf("chaos result diverged:\nserial: %+v\nparallel: %+v", serialRes, parRes)
+	serial := coldRunAt(t, true, 1, true)
+	par := coldRunAt(t, true, 8, true)
+	if !reflect.DeepEqual(serial.res, par.res) {
+		t.Fatalf("chaos result diverged:\nserial: %+v\nparallel: %+v", serial.res, par.res)
 	}
-	if serialLog != parLog {
-		t.Fatalf("chaos log diverged:\n--- serial ---\n%s--- parallel ---\n%s", serialLog, parLog)
+	if serial.log != par.log {
+		t.Fatalf("chaos log diverged:\n--- serial ---\n%s--- parallel ---\n%s", serial.log, par.log)
 	}
-	if serialFP != parFP {
-		t.Fatalf("fault schedules diverged:\nserial: %s\nparallel: %s", serialFP, parFP)
+	if serial.fp != par.fp {
+		t.Fatalf("fault schedules diverged:\nserial: %s\nparallel: %s", serial.fp, par.fp)
 	}
-	if serialRes.Reverts == 0 {
+	if serial.res.Reverts == 0 {
 		t.Fatal("fixture should exercise guardrail reverts (frequency regressions)")
 	}
 }

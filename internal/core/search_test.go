@@ -189,7 +189,7 @@ func TestSearchBudgetExhaustedEvent(t *testing.T) {
 	}
 }
 
-// searchLedgerAt mirrors ledgerAt for the hill climber: run one
+// searchLedgerAt mirrors runAt for the hill climber: run one
 // tuning pass in the given mode and return the serialized ledger, the
 // winning configuration, and the progress log.
 func searchLedgerAt(t *testing.T, mode SweepMode, par int, withChaos bool) ([]byte, string, string) {

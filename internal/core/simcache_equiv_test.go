@@ -18,19 +18,10 @@ import (
 // runs would diverge. The cached runs are the ones the parallel
 // equivalence tests compare (coldRunAt).
 func TestSimCacheBitIdentical(t *testing.T) {
-	type run struct {
-		res *Result
-		log string
-		fp  string
-	}
-	do := func(cacheOn bool, par int, withChaos bool) run {
-		res, log, fp := coldRunAt(t, cacheOn, par, withChaos)
-		return run{res, log, fp}
-	}
 	for _, withChaos := range []bool{false, true} {
 		for _, par := range []int{1, 8} {
-			off := do(false, par, withChaos)
-			on := do(true, par, withChaos)
+			off := coldRunAt(t, false, par, withChaos)
+			on := coldRunAt(t, true, par, withChaos)
 			if !reflect.DeepEqual(on.res, off.res) {
 				t.Fatalf("chaos=%v parallel=%d: cached result diverged from uncached:\ncached: %+v\nuncached: %+v",
 					withChaos, par, on.res, off.res)
@@ -52,10 +43,12 @@ func TestSimCacheBitIdentical(t *testing.T) {
 // over — the control arm every trial, neighbours revisited across
 // hill-climb rounds, each round's control equal to the previous
 // round's winning treatment — so the cache must cut executed windows
-// by at least 2x.
+// by at least 2x. The cached count is the unarmed hill climb the twin
+// tests share (twinRun, same fixture); the window count does not depend
+// on the worker count.
 func TestSimCacheDedupesWindows(t *testing.T) {
-	count := func(cacheOn bool) float64 {
-		prev := sim.SetCharacterizationCache(cacheOn)
+	off := func() float64 {
+		prev := sim.SetCharacterizationCache(false)
 		defer sim.SetCharacterizationCache(prev)
 		sim.ResetCharacterizationCache()
 		before := sim.WindowsExecuted()
@@ -71,9 +64,8 @@ func TestSimCacheDedupesWindows(t *testing.T) {
 			t.Fatal(err)
 		}
 		return sim.WindowsExecuted() - before
-	}
-	off := count(false)
-	on := count(true)
+	}()
+	_, _, on, _ := twinRun(t, SweepHillClimb, false, 1, false)
 	if on <= 0 || off <= 0 {
 		t.Fatalf("windows: on=%v off=%v", on, off)
 	}

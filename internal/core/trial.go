@@ -101,11 +101,11 @@ func (t *Tool) workers() int {
 			return 1
 		}
 	}
-	if t.par <= 0 {
+	if t.in.Parallel <= 0 {
 		//lint:ignore detflow worker count is result-invariant: trials merge by index order, so the pool size never reaches a verdict (pinned by the equivalence tests)
 		return runtime.GOMAXPROCS(0)
 	}
-	return t.par
+	return t.in.Parallel
 }
 
 // metric maps the configured optimization metric onto a sampler.

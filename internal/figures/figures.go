@@ -1,8 +1,9 @@
 // Package figures regenerates every table and figure of the paper's
 // evaluation: each function runs the corresponding experiment on the
 // simulated fleet and returns a rendered table, side by side with the
-// paper's reported values where the paper gives them. The root-level
-// benchmarks, cmd/characterize, and EXPERIMENTS.md all draw from here.
+// paper's reported values where the paper gives them. cmd/characterize
+// (`-tuning -ablations` prints all of them) and EXPERIMENTS.md draw
+// from here.
 package figures
 
 import (
@@ -11,6 +12,7 @@ import (
 
 	"softsku/internal/platform"
 	"softsku/internal/sim"
+	"softsku/internal/stats"
 	"softsku/internal/workload"
 )
 
@@ -23,44 +25,12 @@ type Table struct {
 	Notes  []string
 }
 
-// String renders the table as aligned text.
+// String renders the table as aligned text: a "== ID: Title ==" line,
+// the stats.FormatTable grid, then one "note:" line per note.
 func (t Table) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "== %s: %s ==\n", t.ID, t.Title)
-	widths := make([]int, len(t.Header))
-	for i, h := range t.Header {
-		widths[i] = len(h)
-	}
-	for _, r := range t.Rows {
-		for i, c := range r {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
-	emit := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			b.WriteString(c)
-			if i < len(cells)-1 {
-				for p := len(c); p < widths[i]; p++ {
-					b.WriteByte(' ')
-				}
-			}
-		}
-		b.WriteByte('\n')
-	}
-	emit(t.Header)
-	sep := make([]string, len(t.Header))
-	for i := range sep {
-		sep[i] = strings.Repeat("-", widths[i])
-	}
-	emit(sep)
-	for _, r := range t.Rows {
-		emit(r)
-	}
+	b.WriteString(stats.FormatTable(t.Header, t.Rows))
 	for _, n := range t.Notes {
 		fmt.Fprintf(&b, "note: %s\n", n)
 	}

@@ -634,7 +634,6 @@ func (c *Controller) retune(ps *poolState, driftSeq int) (bool, error) {
 	}
 	tool.SetRecorder(c.ledger)
 	tool.SetRecorderParent(driftSeq)
-	tool.SetParallel(c.cfg.Parallel)
 	if c.chaos != nil {
 		tool.SetChaos(c.chaos.Split(fmt.Sprintf("tune/%s/%d", ps.name, c.epoch)))
 	}

@@ -167,14 +167,10 @@ func fmtDur(sec float64) string {
 	}
 }
 
-// Series is a simple named value sequence used when rendering tables.
-type Series struct {
-	Name   string
-	Values []float64
-}
-
-// FormatTable renders labeled rows of series values as an aligned text
-// table — the shape in which benches print reproduced figures.
+// FormatTable renders a header and rows as an aligned text table: every
+// cell but a row's last is padded to its column's width, and a row of
+// dashes separates the header from the rows. It is the grid of every
+// reproduced table and figure (figures.Table.String).
 func FormatTable(header []string, rows [][]string) string {
 	widths := make([]int, len(header))
 	for i, hcol := range header {

@@ -284,4 +284,21 @@ fi
 echo "$replay" | head -2
 rm -rf "$repdir"
 
+echo "== paper suite smoke =="
+# cmd/characterize is the one front end of the paper's tables and
+# figures (`-tuning -ablations` prints all of them); its items list is
+# the only registry. One cheap item must render, and an unknown key
+# must fail rather than print nothing.
+paper=$(go run ./cmd/characterize -only fig5)
+if ! echo "$paper" | grep -q "^== Fig 5"; then
+	echo "paper suite smoke: -only fig5 printed no Fig 5 table" >&2
+	echo "$paper" >&2
+	exit 1
+fi
+if go run ./cmd/characterize -only nosuch >/dev/null 2>&1; then
+	echo "paper suite smoke: -only nosuch exited zero" >&2
+	exit 1
+fi
+echo "$paper" | head -1
+
 echo "check: all green"
