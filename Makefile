@@ -13,9 +13,10 @@ test:
 check:
 	sh scripts/check.sh
 
-# Project-specific static analysis (DESIGN.md §9, §14): determinism,
-# metric-name, knob-error, span-pairing, and seed-plumbing invariants,
-# plus the module-wide detflow call-graph taint analysis. Suppress an
+# Project-specific static analysis (DESIGN.md §9, §14), six analyzers:
+# metric-name, knob-error, span-pairing, seed-plumbing and
+# decision-event invariants per package, plus seeded determinism via
+# the module-wide detflow call-graph taint analysis. Suppress an
 # intentional finding with "//lint:ignore <analyzer> <reason>" on or
 # above the line; for detflow that accepts one call edge.
 lint:

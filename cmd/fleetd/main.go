@@ -36,7 +36,7 @@ func main() {
 		driftRate = flag.Float64("drift-rate", 0.04, "per-pool per-epoch probability of a real workload shift")
 		tuneMax   = flag.Int("tune-samples", 120, "per-arm sample cap for drift-chasing A/B trials")
 		tuneSrch  = flag.String("tune-search", "independent", "re-tune optimizer: independent | hill")
-		guardrail = flag.Float64("guardrail-pct", 0, "abort and revert re-tune A/B trials regressing beyond this percent (0: the controller default, 2)")
+		guardrail = flag.Float64("guardrail-pct", controller.DefaultConfig().TuneGuardrailPct, "abort and revert re-tune A/B trials regressing beyond this percent (<= 0 disables)")
 		tuneTwin  = flag.Bool("tune-twin", false, "arm the analytical-twin fidelity ladder inside re-tunes of any -tune-search, the default independent sweep included (prunes predicted-losing arms before any window runs)")
 		decOut    = flag.String("ledger-out", "", "write the soak's decision ledger as JSONL (replay with skutrace)")
 		jsonOut   = flag.Bool("json", false, "emit the soak report as JSON instead of text")
@@ -64,9 +64,7 @@ func main() {
 		}
 		cfg.TuneSweep = mode
 	}
-	if *guardrail > 0 {
-		cfg.TuneGuardrailPct = *guardrail
-	}
+	cfg.TuneGuardrailPct = *guardrail
 	cfg.TuneTwin = *tuneTwin
 
 	ctl, err := controller.New(cfg, controller.DefaultFleetSpec(*servers))

@@ -1,12 +1,13 @@
 // Command softskulint is the repo's project-specific static-analysis
 // gate (DESIGN.md §9, §14): a stdlib-only vet-style multichecker that
 // loads every package in the module and enforces the invariants the
-// A/B measurement pipeline's trustworthiness rests on — seeded
-// determinism, bounded metric cardinality, never-dropped knob-
-// mutation errors, closed trace spans, caller-controlled randomness,
-// and (via the module-wide detflow call-graph taint analysis) the
-// absence of any transitive path from a sim-facing export to a
-// nondeterminism source.
+// A/B measurement pipeline's trustworthiness rests on — bounded
+// metric cardinality, never-dropped knob-mutation errors, closed trace
+// spans, caller-controlled randomness, decision events built by their
+// constructors, and seeded determinism: the module-wide detflow call-graph
+// taint analysis proves that no function of a sim-facing package
+// reaches a nondeterminism source, in its own body or through any
+// call path.
 //
 // Usage:
 //

@@ -174,12 +174,10 @@ const rngPath = "softsku/internal/rng"
 // All returns the full analyzer suite in stable order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		Nondeterminism,
 		MetricName,
 		KnobErr,
 		SpanEnd,
 		SeedArg,
-		Goroutine,
 		DecisionEvent,
 		Detflow,
 	}

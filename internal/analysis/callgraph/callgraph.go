@@ -1,8 +1,8 @@
 // Package callgraph builds a module-wide static call graph from
 // type-checked production packages, using only go/ast and go/types.
 // It exists so softskulint's detflow analyzer can prove — not assume —
-// that no sim-facing export transitively reaches a nondeterminism
-// source through helper packages (DESIGN.md §14).
+// that no sim-facing function reaches a nondeterminism source, in its
+// own body or through helper packages (DESIGN.md §14).
 //
 // Resolution strategy, and its honest limits:
 //
@@ -57,9 +57,6 @@ type Node struct {
 	Label   string // display form: pkg.Recv.Name
 	PkgPath string
 	PkgName string
-	// Exported marks exported functions and exported methods — the
-	// entry points a package's importers can reach directly.
-	Exported bool
 	// Pos is the declaration site (zero for non-module source leaves).
 	Pos token.Position
 	// Source is non-nil for catalogued nondeterminism sources outside
@@ -67,7 +64,8 @@ type Node struct {
 	Source *Source
 	// Intrinsics are body-derived nondeterminism sources: map ranges
 	// whose iteration order escapes, selects with several comm
-	// clauses, atomic counter values returned to the caller.
+	// clauses, atomic counter values returned to the caller, go
+	// statements.
 	Intrinsics []Source
 	// Out holds the node's call edges in source order.
 	Out []*Edge
@@ -246,10 +244,9 @@ func (b *builder) nodeForFunc(fn *types.Func) *Node {
 		return n
 	}
 	n := &Node{
-		Key:      key,
-		Label:    funcLabel(fn),
-		Pos:      b.fset.Position(fn.Pos()),
-		Exported: fn.Exported(),
+		Key:   key,
+		Label: funcLabel(fn),
+		Pos:   b.fset.Position(fn.Pos()),
 	}
 	if fn.Pkg() != nil {
 		n.PkgPath = fn.Pkg().Path()
@@ -269,7 +266,6 @@ func (b *builder) initNode(p *Package) *Node {
 	n := &Node{
 		Key: key, Label: p.Name + ".init",
 		PkgPath: p.Path, PkgName: p.Name,
-		Exported: true, // init runs unconditionally for every importer
 	}
 	b.graph.Nodes[key] = n
 	return n

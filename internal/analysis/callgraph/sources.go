@@ -15,8 +15,9 @@ type SourceKind string
 const (
 	// KindWallClock is a machine-clock read (time.Now and friends).
 	KindWallClock SourceKind = "wallclock"
-	// KindGlobalRand is the process-global math/rand stream.
-	KindGlobalRand SourceKind = "globalrand"
+	// KindMathRand is any math/rand use: the process-global stream,
+	// or a private *rand.Rand outside the internal/rng seed tree.
+	KindMathRand SourceKind = "mathrand"
 	// KindEnv is ambient process environment (os.Getenv, ...).
 	KindEnv SourceKind = "env"
 	// KindHostConfig is host-shape introspection (runtime.NumCPU, ...).
@@ -30,6 +31,9 @@ const (
 	// KindAtomicCounter is a sync/atomic counter value returned to
 	// the caller — its value is scheduler-ordered.
 	KindAtomicCounter SourceKind = "atomiccounter"
+	// KindGoroutine is a go statement: what the goroutine computes
+	// lands in an order the scheduler picks.
+	KindGoroutine SourceKind = "goroutine"
 )
 
 // Source describes one nondeterminism source, either a catalogued
@@ -42,8 +46,9 @@ type Source struct {
 	Pos    token.Position
 }
 
-// wallClockFuncs mirrors the per-package nondeterminism analyzer's
-// catalog: time-package functions that consult the machine clock.
+// wallClockFuncs lists the time-package functions that consult the
+// machine clock. Pure types and constructors (time.Duration,
+// time.Unix) are deterministic and stay allowed.
 var wallClockFuncs = map[string]bool{
 	"Now": true, "Sleep": true, "Since": true, "Until": true,
 	"Tick": true, "After": true, "AfterFunc": true,
@@ -74,13 +79,19 @@ func classifySource(fn *types.Func) (Source, bool) {
 				Detail: "reads the machine clock"}, true
 		}
 	case "math/rand", "math/rand/v2":
-		// Package-level functions draw from the global stream; methods
-		// on a *rand.Rand are caller-seeded and the per-package
-		// nondeterminism analyzer governs their use directly.
-		if !hasRecv {
-			return Source{Kind: KindGlobalRand, Label: fn.Pkg().Path() + "." + fn.Name(),
-				Detail: "draws from the process-global random stream"}, true
+		// Package-level draws use the process-global stream. The
+		// constructors and the *rand.Rand methods use a stream seeded
+		// outside the softsku/internal/rng tree (rng.New, rng.Split),
+		// the tree that ties every stream to the run's one seed, so
+		// they count too.
+		label, detail := fn.Name(), "draws from the process-global random stream"
+		if hasRecv || strings.HasPrefix(fn.Name(), "New") {
+			detail = "uses a math/rand stream outside the run's internal/rng seed tree"
 		}
+		if hasRecv {
+			label = recvName(fn) + "." + label
+		}
+		return Source{Kind: KindMathRand, Label: fn.Pkg().Path() + "." + label, Detail: detail}, true
 	case "os":
 		if !hasRecv && envFuncs[fn.Name()] {
 			return Source{Kind: KindEnv, Label: "os." + fn.Name(),
@@ -110,6 +121,14 @@ func scanIntrinsics(fset *token.FileSet, info *types.Info, body ast.Node) []Sour
 			if src, ok := multiCommSelect(fset, st); ok {
 				out = append(out, src)
 			}
+		case *ast.GoStmt:
+			at, pos := atPos(fset, st.Go)
+			out = append(out, Source{
+				Kind:   KindGoroutine,
+				Label:  "go@" + at,
+				Detail: "go statement; the scheduler orders the work it spawns",
+				Pos:    pos,
+			})
 		}
 		return true
 	})

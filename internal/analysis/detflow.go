@@ -7,88 +7,111 @@ import (
 	"softsku/internal/analysis/callgraph"
 )
 
-// Detflow is the interprocedural half of the determinism contract.
-// The per-package nondeterminism analyzer catches a sim-facing
-// function that calls time.Now directly; detflow catches the one that
-// reaches it three helpers deep in stats, ods, or telemetry — hidden
-// client-side variability of exactly the kind that corrupts repeated
-// measurements and, with them, every A/B confidence interval built on
-// top (SoftSKU §4). It builds the module call graph (static calls,
-// concrete method calls, interface dispatch via CHA), computes
-// transitive reachability from every exported function or method of
-// the sim-facing packages to a catalog of nondeterminism sources
-// (wall clock, global math/rand, ambient env, host shape, escaping
-// map-iteration order, multi-clause selects, returned atomic
-// counters), and reports the full offending call path so the finding
-// is actionable at the edge that introduced it.
+// Detflow guards the repo's core reproducibility contract: one seed ⇒
+// one byte-identical run (DESIGN.md §8, §14). Ambient state read by a
+// sim-facing function, in its own body or three helpers deep in stats,
+// ods, or telemetry, is hidden client-side variability of exactly the
+// kind that corrupts repeated measurements and, with them, every A/B
+// confidence interval built on top (SoftSKU §4). Detflow builds the
+// module call graph (static calls, concrete method calls, interface
+// dispatch via CHA), takes every function, method and initializer of
+// the sim-facing packages as a root, computes reachability from the
+// roots to a catalog of nondeterminism sources (wall clock, math/rand,
+// ambient env, host shape, escaping map-iteration order, multi-clause
+// selects, returned atomic counters, go statements), and reports the
+// full offending call path so the finding is actionable at the edge
+// that introduced it. The remedies are virtual time (sim.Engine.Now),
+// softsku/internal/rng streams, sorted iteration, and core.ParallelFor
+// with its index-ordered merge.
 //
 // Suppression is per call edge: `//lint:ignore detflow <reason>` on
 // (or above) a call site removes that edge from the propagation, so
 // one reasoned directive at the introducing call accepts every path
-// through it. A directive whose edge carries no taint is reported by
-// the stale-suppression audit like any other dead directive.
+// through it; on an intrinsic source (a go statement, a select) it
+// accepts that source. A directive whose edge carries no taint is
+// reported by the stale-suppression audit like any other dead
+// directive.
 var Detflow = &Analyzer{
 	Name:      "detflow",
-	Doc:       "sim-facing exports must not transitively reach nondeterminism sources (module-wide call-graph taint)",
+	Doc:       "sim-facing functions must not reach nondeterminism sources, directly or through any call path (module-wide call-graph taint)",
 	RunModule: runDetflow,
 }
 
-// runDetflow executes the build → prune → propagate → report
-// pipeline. Every traversal walks nodes and edges in deterministic
-// (sorted-key, source) order: the linter is held to the same
-// one-input-one-output contract it enforces.
-func runDetflow(mp *ModulePass) {
-	pkgs := make([]*callgraph.Package, 0, len(mp.Mod.Pkgs))
-	for _, p := range mp.Mod.Pkgs {
+// taint is the outcome of the detflow pipeline over one module: the
+// call graph, the intrinsic sources a directive accepted, the live
+// ones, and the nodes that still reach a source.
+type taint struct {
+	g        *callgraph.Graph
+	pruned   func(*callgraph.Edge) bool // the edge carries a directive
+	accepted []callgraph.Source
+	live     map[*callgraph.Node][]callgraph.Source
+	tainted  map[*callgraph.Node]bool
+}
+
+// detflowTaint runs build → prune → propagate. suppressed reports
+// whether a //lint:ignore detflow directive governs file:line. Every
+// traversal walks nodes and edges in deterministic (sorted-key,
+// source) order: the linter is held to the same one-input-one-output
+// contract it enforces.
+func detflowTaint(mod *Module, suppressed func(file string, line int) bool) *taint {
+	pkgs := make([]*callgraph.Package, 0, len(mod.Pkgs))
+	for _, p := range mod.Pkgs {
 		pkgs = append(pkgs, &callgraph.Package{
 			Path: p.Path, Name: p.Name, Files: p.Files, Pkg: p.Pkg, Info: p.Info,
 		})
 	}
-	g := callgraph.Build(mp.Mod.Fset, pkgs)
-
-	suppressedEdge := func(e *callgraph.Edge) bool {
-		return mp.SuppressedAt(e.Pos.Filename, e.Pos.Line)
+	t := &taint{
+		g:      callgraph.Build(mod.Fset, pkgs),
+		pruned: func(e *callgraph.Edge) bool { return suppressed(e.Pos.Filename, e.Pos.Line) },
+		live:   make(map[*callgraph.Node][]callgraph.Source),
 	}
+	for _, n := range t.g.SortedNodes() {
+		for _, src := range n.Intrinsics {
+			if suppressed(src.Pos.Filename, src.Pos.Line) {
+				t.accepted = append(t.accepted, src)
+				continue
+			}
+			t.live[n] = append(t.live[n], src)
+		}
+	}
+	t.tainted = propagate(t.g, t.pruned, t.live)
+	return t
+}
+
+// runDetflow reports every tainted root and credits the directives
+// that absorbed taint.
+func runDetflow(mp *ModulePass) {
+	t := detflowTaint(mp.Mod, mp.SuppressedAt)
 	// Intrinsic sources governed by a directive are accepted outright:
 	// the directive demonstrably silenced a real source, so it is
 	// credited immediately (unlike edges, whose credit waits until the
 	// callee side proves tainted).
-	liveIntrinsics := make(map[*callgraph.Node][]callgraph.Source)
-	for _, n := range g.SortedNodes() {
-		for _, src := range n.Intrinsics {
-			if mp.SuppressedAt(src.Pos.Filename, src.Pos.Line) {
-				mp.UseSuppression(src.Pos.Filename, src.Pos.Line)
-				continue
-			}
-			liveIntrinsics[n] = append(liveIntrinsics[n], src)
-		}
+	for _, src := range t.accepted {
+		mp.UseSuppression(src.Pos.Filename, src.Pos.Line)
 	}
-
-	tainted := propagate(g, suppressedEdge, liveIntrinsics)
-
 	// Credit edge suppressions that actually block taint; the rest
 	// stay uncredited and fall to the stale audit.
-	for _, n := range g.SortedNodes() {
+	for _, n := range t.g.SortedNodes() {
 		for _, e := range n.Out {
-			if suppressedEdge(e) && tainted[e.To] {
+			if t.pruned(e) && t.tainted[e.To] {
 				mp.UseSuppression(e.Pos.Filename, e.Pos.Line)
 			}
 		}
 	}
 
-	for _, root := range g.SortedNodes() {
-		if !isDetflowRoot(root) || !tainted[root] {
+	for _, root := range t.g.SortedNodes() {
+		if !isDetflowRoot(root) || !t.tainted[root] {
 			continue
 		}
-		reportPaths(mp, root, suppressedEdge, liveIntrinsics, tainted)
+		reportPaths(mp, root, t)
 	}
 }
 
 // isDetflowRoot reports whether n is an entry point of the
-// determinism contract: an exported function/method (or the package
-// initializer) of a sim-facing package.
+// determinism contract: any function, method, or the package
+// initializer of a sim-facing package.
 func isDetflowRoot(n *callgraph.Node) bool {
-	return n.Source == nil && n.Exported && SimFacing(n.PkgName)
+	return n.Source == nil && SimFacing(n.PkgName)
 }
 
 // propagate computes the tainted node set: reachable-to-source over
@@ -133,7 +156,7 @@ type pathStep struct {
 // root reaches, each carrying the shortest offending call path
 // (BFS over live edges restricted to tainted nodes; ties broken by
 // edge order, which follows source order).
-func reportPaths(mp *ModulePass, root *callgraph.Node, suppressedEdge func(*callgraph.Edge) bool, liveIntrinsics map[*callgraph.Node][]callgraph.Source, tainted map[*callgraph.Node]bool) {
+func reportPaths(mp *ModulePass, root *callgraph.Node, t *taint) {
 	type queued struct {
 		node *callgraph.Node
 		path []pathStep
@@ -168,7 +191,7 @@ func reportPaths(mp *ModulePass, root *callgraph.Node, suppressedEdge func(*call
 		q := queue[0]
 		queue = queue[1:]
 		// Intrinsic sources terminate a path at the node itself.
-		for _, src := range liveIntrinsics[q.node] {
+		for _, src := range t.live[q.node] {
 			record(q, src, q.node.Key+"/"+src.Label, src.Label)
 		}
 		if q.node.Source != nil {
@@ -176,7 +199,7 @@ func reportPaths(mp *ModulePass, root *callgraph.Node, suppressedEdge func(*call
 			continue
 		}
 		for _, e := range q.node.Out {
-			if suppressedEdge(e) || visited[e.To] || (!tainted[e.To] && e.To.Source == nil) {
+			if t.pruned(e) || visited[e.To] || (!t.tainted[e.To] && e.To.Source == nil) {
 				continue
 			}
 			visited[e.To] = true
@@ -195,7 +218,7 @@ func reportPaths(mp *ModulePass, root *callgraph.Node, suppressedEdge func(*call
 			pos = f.src.Pos
 		}
 		mp.Reportf(pos, f.path,
-			"sim-facing export %s transitively reaches %s (%s): %s — make the path deterministic (virtual time, caller-seeded rng, sorted iteration) or accept the introducing call edge with //lint:ignore detflow <reason>",
+			"sim-facing function %s reaches %s (%s): %s — make the path deterministic (virtual time, caller-seeded rng, sorted iteration, core.ParallelFor) or accept the introducing call edge with //lint:ignore detflow <reason>",
 			root.Label, f.src.Label, f.src.Detail, strings.Join(f.path, " → "))
 	}
 }
@@ -208,30 +231,14 @@ func DetflowDOT(mod *Module, units []*Unit, w interface{ Write([]byte) (int, err
 	for _, u := range units {
 		ign.addUnit(u)
 	}
-	pkgs := make([]*callgraph.Package, 0, len(mod.Pkgs))
-	for _, p := range mod.Pkgs {
-		pkgs = append(pkgs, &callgraph.Package{
-			Path: p.Path, Name: p.Name, Files: p.Files, Pkg: p.Pkg, Info: p.Info,
-		})
-	}
-	g := callgraph.Build(mod.Fset, pkgs)
-	suppressedEdge := func(e *callgraph.Edge) bool {
-		return ign.covers(Detflow.Name, e.Pos.Filename, e.Pos.Line)
-	}
-	liveIntrinsics := make(map[*callgraph.Node][]callgraph.Source)
-	for _, n := range g.SortedNodes() {
-		for _, src := range n.Intrinsics {
-			if !ign.covers(Detflow.Name, src.Pos.Filename, src.Pos.Line) {
-				liveIntrinsics[n] = append(liveIntrinsics[n], src)
-			}
-		}
-	}
-	tainted := propagate(g, suppressedEdge, liveIntrinsics)
-	taintKeys := make(map[string]bool, len(tainted))
-	for n, t := range tainted {
-		if t {
+	t := detflowTaint(mod, func(file string, line int) bool {
+		return ign.covers(Detflow.Name, file, line)
+	})
+	taintKeys := make(map[string]bool, len(t.tainted))
+	for n, tainted := range t.tainted {
+		if tainted {
 			taintKeys[n.Key] = true
 		}
 	}
-	g.DOT(w, taintKeys, suppressedEdge)
+	t.g.DOT(w, taintKeys, t.pruned)
 }

@@ -52,30 +52,45 @@ func TestGolden(t *testing.T) {
 	cases := []struct {
 		analyzer *Analyzer
 		dir      string // under testdata/, golden at <dir>.golden
+		name     string // subtest name; defaults to dir with "/" → "_"
 	}{
-		{Nondeterminism, "nondeterminism/sim"},
-		{Nondeterminism, "nondeterminism/clockfree"},
-		{Nondeterminism, "nondeterminism/memocache"},
-		{MetricName, "metricname/metrics"},
-		{KnobErr, "knoberr/knobs"},
-		{SpanEnd, "spanend/spans"},
-		{SeedArg, "seedarg/sim"},
-		{Goroutine, "goroutine/sim"},
-		{Goroutine, "goroutine/controller"},
-		{Nondeterminism, "nondeterminism/controller"},
-		{DecisionEvent, "decisionevent/events"},
-		{Nondeterminism, "directives/bad"},
-		{KnobErr, "directives/stale"},
+		// The per-package determinism fixtures, read one package at a
+		// time: detflow alone must still flag each of them (their
+		// cross-package view is pinned by TestDetflowGolden).
+		{Detflow, "detflow/nondet", "nondeterminism_sim"},
+		{Detflow, "detflow/clockfree", "nondeterminism_clockfree"},
+		{Detflow, "detflow/memocache", "nondeterminism_memocache"},
+		{MetricName, "metricname/metrics", ""},
+		{KnobErr, "knoberr/knobs", ""},
+		{SpanEnd, "spanend/spans", ""},
+		{SeedArg, "seedarg/sim", ""},
+		{Detflow, "detflow/gostmt", "goroutine_sim"},
+		{Detflow, "detflow/epochloop", "goroutine_controller"},
+		{Detflow, "detflow/breaker", "nondeterminism_controller"},
+		{DecisionEvent, "decisionevent/events", ""},
+		{Detflow, "directives/bad", ""},
+		{KnobErr, "directives/stale", ""},
 	}
 	l := fixtureLoader(t)
 	for _, c := range cases {
 		c := c
-		t.Run(strings.ReplaceAll(c.dir, "/", "_"), func(t *testing.T) {
+		name := c.name
+		if name == "" {
+			name = strings.ReplaceAll(c.dir, "/", "_")
+		}
+		t.Run(name, func(t *testing.T) {
 			units, err := l.LoadDir(filepath.Join("testdata", filepath.FromSlash(c.dir)))
 			if err != nil {
 				t.Fatalf("loading fixture: %v", err)
 			}
-			got := renderResult(Run(units, []*Analyzer{c.analyzer}))
+			// A module analyzer sees the fixture as a one-package module.
+			var mod *Module
+			if c.analyzer.RunModule != nil {
+				if mod, err = l.LoadModule("internal/analysis/testdata/" + c.dir); err != nil {
+					t.Fatalf("loading module view: %v", err)
+				}
+			}
+			got := renderResult(RunAll(mod, units, []*Analyzer{c.analyzer}))
 			goldenPath := filepath.Join("testdata", filepath.FromSlash(c.dir)+".golden")
 			if *update {
 				if err := os.WriteFile(goldenPath, []byte(got), 0o644); err != nil {

@@ -1,5 +1,5 @@
 // Fixture: the self-healing control loop (internal/fleet/controller)
-// is in the sim-facing set, so the goroutine analyzer polices it: the
+// is in the sim-facing set, so detflow polices its go statements: the
 // epoch loop is strictly serial and only the inner A/B trials may fan
 // out, through core.ParallelFor's merge-ordered pool.
 package controller

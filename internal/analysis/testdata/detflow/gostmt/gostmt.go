@@ -20,7 +20,7 @@ func fanOutBare(fns []func()) {
 
 // poolWorker documents a deliberate, merge-ordered worker spawn.
 func poolWorker(work func()) {
-	//lint:ignore goroutine fixture exercising suppression
+	//lint:ignore detflow fixture exercising suppression
 	go work()
 }
 

@@ -1,6 +1,6 @@
 // Fixture: a helper package whose functions hide nondeterminism one
-// or two hops away from the sim-facing caller — the class of leak the
-// per-package analyzers cannot see and detflow must.
+// or two hops away from the sim-facing caller — the class of leak a
+// per-package check cannot see and detflow must.
 package helper
 
 import (
@@ -74,3 +74,13 @@ func Tally(m map[string]int) int {
 	}
 	return total
 }
+
+// Spawn runs work on its own goroutine; nothing orders what it
+// computes against the caller.
+func Spawn(work func()) { go work() }
+
+// Dice draws from a private *rand.Rand, seeded outside the run's
+// internal/rng tree.
+type Dice struct{ r *rand.Rand }
+
+func (d Dice) Roll() int { return d.r.Intn(6) }

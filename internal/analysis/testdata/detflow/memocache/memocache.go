@@ -1,6 +1,6 @@
 // Fixture: memoization-cache patterns in a sim-facing package. The
 // characterization cache (internal/sim/simcache.go) must stay free of
-// ambient state; this fixture pins what the analyzer rejects — wall
+// ambient state; this fixture pins what detflow rejects — wall
 // clock TTLs and random eviction — and shows the clean single-flight
 // shape it accepts.
 package sim

@@ -1,5 +1,5 @@
-// Fixture: wall-clock and ambient-randomness hits inside a package
-// named like a sim-facing one.
+// Fixture: wall-clock and ambient-randomness hits in the body of a
+// sim-facing function — call depth zero.
 package sim
 
 import (
@@ -24,7 +24,7 @@ func okDuration(d time.Duration) float64 {
 }
 
 func suppressed() time.Time {
-	//lint:ignore nondeterminism fixture exercising suppression
+	//lint:ignore detflow fixture exercising suppression
 	return time.Now()
 }
 

@@ -1,4 +1,4 @@
-// Fixture: a sim-facing package whose exports reach nondeterminism
+// Fixture: a sim-facing package whose functions reach nondeterminism
 // sources only transitively, through the helper package — every
 // diagnostic must show the complete cross-package call path.
 package sim
@@ -47,8 +47,16 @@ func Wall() time.Time {
 	return helper.Wrap()
 }
 
-// hidden is tainted but unexported — not a contract entry point, so
-// it must not be reported on its own.
+// hidden is unexported, but every function of a sim-facing package
+// is a contract entry point, so it is reported on its own.
 func hidden() string { return helper.Env() }
 
 var _ = hidden
+
+// Launch reaches a go statement in a helper package, where a
+// per-package check of sim-facing packages never looked.
+func Launch(work func()) { helper.Spawn(work) }
+
+// Throw reaches a *rand.Rand method through the helper: no global
+// stream, but still a seed outside the run's.
+func Throw(d helper.Dice) int { return d.Roll() }

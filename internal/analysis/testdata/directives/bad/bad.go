@@ -1,7 +1,7 @@
 // Fixture: malformed suppression directives are findings themselves.
 package bad
 
-//lint:ignore nondeterminism
+//lint:ignore detflow
 func missingReason() {}
 
 //lint:ignore nosuchanalyzer because reasons

@@ -19,6 +19,6 @@ func demo() {
 		panic(err)
 	}
 
-	//lint:ignore nondeterminism fixture: exempt — nondeterminism is not in this run
+	//lint:ignore spanend fixture: exempt — spanend is not in this run
 	k.Apply("other-analyzer")
 }

@@ -62,7 +62,7 @@ func ParallelFor(workers, n int, fn func(int)) {
 	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		//lint:ignore goroutine bounded worker pool; callers merge results in index order
+		//lint:ignore detflow bounded worker pool; callers merge results in index order
 		go func() {
 			defer wg.Done()
 			for {

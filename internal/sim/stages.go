@@ -185,7 +185,7 @@ func (w *window) runStaged(instr, interval int) {
 	var wg sync.WaitGroup
 	for ti := range w.threads {
 		wg.Add(1)
-		//lint:ignore goroutine a window's thread stages: one per simulated thread, joined before runWindow returns, their LLC ops applied in the serial order (DESIGN.md §11)
+		//lint:ignore detflow a window's thread stages: one per simulated thread, joined before runWindow returns, their LLC ops applied in the serial order (DESIGN.md §11)
 		go func() {
 			defer wg.Done()
 			defer close(full[ti])

@@ -3,12 +3,13 @@ package telemetry
 import "time"
 
 // The process wall clock behind every telemetry timestamp. The
-// sim-facing packages are forbidden (softskulint's nondeterminism
-// analyzer) from calling time.Now directly: simulation results must
-// depend only on virtual time and the run's seed. Observability-only
-// timing — span durations, sim-seconds-per-wall-second throughput —
-// flows through this injectable clock instead, so it can never leak
-// into a verdict and tests can freeze it.
+// sim-facing packages are forbidden (softskulint's detflow analyzer)
+// from reaching time.Now: simulation results must depend only on
+// virtual time and the run's seed. Observability-only timing — span
+// durations, sim-seconds-per-wall-second throughput — flows through
+// this injectable clock instead, so it can never leak into a verdict
+// and tests can freeze it. Detflow's call graph has no edge through a
+// function value, so the indirection below is what keeps it quiet.
 
 var wallNow = time.Now
 

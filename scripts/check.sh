@@ -18,13 +18,15 @@ echo "== go vet =="
 go vet ./...
 
 echo "== softskulint =="
-# Project-specific invariants (DESIGN.md §9, §14): seeded determinism,
-# constant metric names, never-dropped knob errors, closed trace
-# spans, caller-controlled randomness, and the module-wide detflow
-# call-graph taint gate (no sim-facing export may transitively reach a
-# nondeterminism source). Runs in -json so the findings stay machine-
-# readable in CI logs; any finding fails the check, and the extracted
-# summary line shows the gate ran (including suppressed/stale counts).
+# Project-specific invariants (DESIGN.md §9, §14): constant metric
+# names, never-dropped knob errors, closed trace spans, caller-
+# controlled randomness, constructor-built decision events, and seeded
+# determinism via the module-wide detflow call-graph taint gate (no
+# function of a sim-facing package may reach a nondeterminism source,
+# in its own body or through any call path). Runs in -json so the
+# findings stay machine-readable in CI logs; any finding fails the
+# check, and the extracted summary line shows the gate ran (including
+# suppressed/stale counts).
 if ! lint_json=$(go run ./cmd/softskulint -json ./...); then
 	echo "softskulint findings:" >&2
 	echo "$lint_json" >&2
